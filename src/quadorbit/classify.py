@@ -22,10 +22,10 @@ from .factors import (FactorPoly, SPECIAL_S, build_pattern,
                       negative_square_parameter, obstruction,
                       quartic_form_parameter)
 from .orbit import critical_numerators, is_perfect_square, isqrt_if_square
-from .primes import FactorizationBudget, factorize
+from .primes import FactorizationBudget, factorize, primes_to
 from .sieve import (FactorTarget, NumeratorTarget, TermUnresolved,
                     certificate_at_prime, check_term_nonsquare,
-                    find_sieve_certificate, load_static_congruence_table,
+                    find_sieve_certificate, jacobi, load_static_congruence_table,
                     match_congruence_rows, match_m_rules, verify_m_rule,
                     verify_row_coverage, verify_sieve_certificate)
 
@@ -120,7 +120,6 @@ class Effort:
     exact_bit_budget: int = 1 << 20
     residual_prime_budget: int = 100
     lattice_pool: dict[int, Any] | None = None   # prime -> DivisorBoundCertificate
-    extended_small_index: bool = False           # also treat index 5 as settled
 
     @staticmethod
     def fast() -> "Effort":
@@ -425,7 +424,7 @@ def _verify_stable(c: int, effort: Effort) -> list[TrackReport]:
             pass
         m_bound = stable_iterate_bound(c)
         certs.append({"kind": "iterate-bound", "m": m_bound})
-        small = [3, 4] + ([5] if effort.extended_small_index else [])
+        small = [3, 4]
         seq = critical_numerators(c, max(small))
         for i in small:
             if is_perfect_square(seq[i - 1]):
@@ -433,9 +432,8 @@ def _verify_stable(c: int, effort: Effort) -> list[TrackReport]:
                 return [TrackReport("f", claim, certs, "FAILED",
                                     f"a_{i}({c}) is a perfect square")]
         certs.append({"kind": "small-index-nonsquare", "indices": small})
-        first_prime = 7 if effort.extended_small_index else 5
-        for p in range(first_prime, m_bound + 1):
-            if not _is_prime_small(p):
+        for p in primes_to(m_bound):
+            if p < 5:
                 continue
             cert = _prime_fact_cert(c, p, effort)
             if cert is None:
@@ -477,8 +475,8 @@ def shared_lattice_pool(x_bound: int) -> dict[int, Any]:
     if x_bound < 4:
         return pool
     cap = stable_iterate_bound(x_bound)
-    for p in range(5, cap + 1):
-        if _is_prime_small(p):
+    for p in primes_to(cap):
+        if p >= 5:
             required = lattice_mod.required_divisor_bound(p, x_bound)
             pool[p] = lattice_mod.prove_divisor_bound(p, required)
     return pool
@@ -583,11 +581,8 @@ def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:
             tc = check_term_nonsquare(c, target, n, prime_budget=0)
             ok = tc.nonsquare
         else:
-            from .sieve import jacobi, reduced_sequence
             p = cert["witness"]
-            values, m, L = reduced_sequence(c, target, p)
-            idx = n if n <= len(values) else m + (n - m) % L
-            ok = jacobi(values[idx - 1], p) == -1
+            ok = jacobi(target.reduce(c, p).value(n), p) == -1
     elif kind == "m-congruence":
         ok = verify_m_rule(cert["modulus"], cert["residue"], cert["needs_m_minus_1"]) \
             and verdict.m is not None and verdict.m % cert["modulus"] == cert["residue"]

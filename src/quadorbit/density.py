@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import sieve_primes
-from .sieve import jacobi
+from .sieve import ModOrbit, jacobi
 
 
 class ExcludedPrime(ValueError):
@@ -44,23 +44,12 @@ def divides_orbit(p: int, c: int, t: Fraction | int) -> bool:
     t = Fraction(t)
     if c % p == 0 or t.denominator % p == 0:
         raise ExcludedPrime(f"p = {p} divides c or the denominator of t")
-    n0 = _exact_zero_index(c, t)
-    c0 = pow(c % p, -1, p)
     x = (t.numerator % p) * pow(t.denominator % p, -1, p) % p
-    seen: dict[int, int] = {}
-    zero_hits: list[int] = []
-    n = 0
-    while x not in seen:
-        seen[x] = n
-        if x == 0:
-            zero_hits.append(n)
-        x = (x * x + c0) % p
-        n += 1
-    cycle_start = seen[x]
-    in_cycle = [h for h in zero_hits if h >= cycle_start]
-    if in_cycle:
+    orbit = ModOrbit.of(pow(c % p, -1, p), p, x)
+    if 0 in orbit.cycle:
         return True  # infinitely many visits; at most one can be the exact zero
-    return any(h != n0 for h in zero_hits)
+    # orbit values are distinct, so 0 sits in the tail at most once
+    return 0 in orbit.tail and orbit.tail.index(0) != _exact_zero_index(c, t)
 
 
 @dataclass(frozen=True)

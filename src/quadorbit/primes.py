@@ -125,13 +125,6 @@ def factorize(n: int, trial_limit: int = 10 ** 6, rho_budget: int = 1 << 22) -> 
     return fac
 
 
-def divisors_from(fac: dict[int, int]) -> list[int]:
-    out = [1]
-    for p, e in fac.items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def coprime_splits(c: int, fac: dict[int, int] | None = None) -> list[tuple[int, int]]:
     """All ordered pairs (u, v) of coprime positive integers with u*v = |c|.
 
@@ -147,10 +140,3 @@ def coprime_splits(c: int, fac: dict[int, int] | None = None) -> list[tuple[int,
                 u *= q
         splits.append((u, abs(c) // u))
     return sorted(set(splits))
-
-
-def prime_divisors_congruent(x: int, residue: int, modulus: int,
-                             fac: dict[int, int] | None = None) -> list[int]:
-    """Prime divisors p of |x| with p = residue (mod modulus)."""
-    fac = fac if fac is not None else factorize(x)
-    return sorted(p for p in fac if p % modulus == residue)

@@ -9,14 +9,13 @@ precision is doubled and the expression rebuilt, up to a hard cap.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
 
 MAX_BITS = 1 << 22
-DEFAULT_BITS = max(64, int(os.environ.get("QUADORBIT_PREC_BITS", "128")))
+DEFAULT_BITS = 128
 
 Builder = Callable[[MPIntervalContext], object]
 
@@ -47,7 +46,12 @@ def iv_endpoints(x) -> tuple[Fraction, Fraction]:
     return _mpf_to_fraction(lo), _mpf_to_fraction(hi)
 
 
-def _refine(build: Builder, pick, bits: int | None, max_bits: int):
+def _refine(build: Builder, pick, bits: int | None, max_bits: int, settle=None):
+    """pick(lo, hi) at doubling precisions until it decides.
+
+    Past max_bits, return settle(lo, hi) of the last enclosure, or raise
+    PrecisionExhausted when no settle is given.
+    """
     bits = bits or DEFAULT_BITS
     while bits <= max_bits:
         lo, hi = iv_endpoints(build(iv_context(bits)))
@@ -55,6 +59,8 @@ def _refine(build: Builder, pick, bits: int | None, max_bits: int):
         if res is not None:
             return res
         bits *= 2
+    if settle is not None:
+        return settle(lo, hi)
     raise PrecisionExhausted(f"undecided at {max_bits} bits")
 
 
@@ -77,68 +83,25 @@ def ceil_int(build: Builder, bits: int | None = None, max_bits: int = MAX_BITS) 
     return _refine(build, pick, bits, max_bits)
 
 
-def floor_int(build: Builder, bits: int | None = None, max_bits: int = MAX_BITS) -> int:
-    def pick(lo, hi):
-        a, b = math.floor(lo), math.floor(hi)
-        return a if a == b else None
-
-    return _refine(build, pick, bits, max_bits)
+def _same_floor(lo, hi):
+    a = math.floor(lo)
+    return a if a == math.floor(hi) else None
 
 
-def floor_of_upper(build: Builder, bits: int | None = None, retries: int = 4) -> int:
-    """floor(hi) after a few narrowing attempts.
+def floor_of_upper(build: Builder, bits: int | None = None) -> int:
+    """floor(hi) after up to four precisions (bits .. 8 bits).
 
-    Sound whenever an over-estimate is the safe direction; retries only
-    sharpen the answer.
+    Sound whenever an over-estimate is the safe direction; the extra
+    precisions only sharpen the answer.
     """
     bits = bits or DEFAULT_BITS
-    last = None
-    for _ in range(retries):
-        lo, hi = iv_endpoints(build(iv_context(bits)))
-        last = math.floor(hi)
-        if math.floor(lo) == last:
-            return last
-        bits *= 2
-    return last
+    return _refine(build, _same_floor, bits, 8 * bits, lambda lo, hi: math.floor(hi))
 
 
-def floor_of_lower(build: Builder, bits: int | None = None, retries: int = 4) -> int:
+def floor_of_lower(build: Builder, bits: int | None = None) -> int:
     """floor(lo); the safe direction when an under-estimate is sound."""
     bits = bits or DEFAULT_BITS
-    last = None
-    for _ in range(retries):
-        lo, hi = iv_endpoints(build(iv_context(bits)))
-        last = math.floor(lo)
-        if math.floor(hi) == last:
-            return last
-        bits *= 2
-    return last
-
-
-def certified_less(build: Builder, rhs: Fraction | int,
-                   bits: int | None = None, max_bits: int = MAX_BITS) -> bool:
-    """Decide expr < rhs with certainty (raises if the value equals rhs)."""
-    rhs = Fraction(rhs)
-
-    def pick(lo, hi):
-        if hi < rhs:
-            return True
-        if lo >= rhs:
-            return False
-        return None
-
-    return _refine(build, pick, bits, max_bits)
-
-
-def is_certainly_less(build: Builder, rhs: Fraction | int, bits: int | None = None) -> bool:
-    """One-sided check: True only when expr < rhs holds at this precision."""
-    _lo, hi = iv_endpoints(build(iv_context(bits or DEFAULT_BITS)))
-    return hi < Fraction(rhs)
-
-
-def is_certainly_greater(build: Builder, rhs: Fraction | int, bits: int | None = None) -> bool:
-    lo, _hi = iv_endpoints(build(iv_context(bits or DEFAULT_BITS)))
-    return lo > Fraction(rhs)
+    return _refine(build, _same_floor, bits, 8 * bits, lambda lo, hi: math.floor(lo))
 
 
 def interval_fractions(build: Builder, bits: int | None = None) -> tuple[Fraction, Fraction]:

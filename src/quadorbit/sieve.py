@@ -9,7 +9,7 @@ the congruence table machinery and the fixed congruence rule families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -39,57 +39,90 @@ def jacobi(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ModOrbit:
-    """Orbit of 0 under x -> x^2 + c0 mod p: tail then cycle.
+    """A sequence mod k that runs through `tail` once, then repeats `cycle`.
 
-    tail[k] = value after k steps (tail[0] = 0); the cycle starts where the
-    tail ends.
+    ModOrbit.of builds the orbit of x0 under x -> x^2 + c0 mod k, value(i)
+    being the residue after i steps; a target's reduce() maps that orbit to
+    the target's values along it.
     """
-    p: int
+    k: int
     c0: int
     tail: tuple[int, ...]
     cycle: tuple[int, ...]
 
-    def value(self, k: int) -> int:
-        if k < len(self.tail):
-            return self.tail[k]
-        return self.cycle[(k - len(self.tail)) % len(self.cycle)]
+    @classmethod
+    def of(cls, c0: int, k: int, x0: int = 0) -> "ModOrbit":
+        # inline integer steps, no per-step callable: this loop runs once per
+        # prime of a density profile.  The dict keeps the visiting order.
+        seen: dict[int, None] = {}
+        x = x0 % k
+        while x not in seen:
+            seen[x] = None
+            x = (x * x + c0) % k
+        values = tuple(seen)
+        start = values.index(x)
+        return cls(k, c0, values[:start], values[start:])
+
+    @property
+    def entry(self) -> int:
+        """First index n >= 1 from which the sequence is periodic."""
+        return max(len(self.tail), 1)
+
+    @property
+    def period(self) -> int:
+        return len(self.cycle)
+
+    def value(self, i: int) -> int:
+        if i < len(self.tail):
+            return self.tail[i]
+        return self.cycle[(i - len(self.tail)) % len(self.cycle)]
+
+    def prefix(self, n: int) -> tuple:
+        """(value(0), ..., value(n - 1))."""
+        reps = max(n - len(self.tail), 0) // len(self.cycle) + 1
+        return (self.tail + self.cycle * reps)[:n]
+
+    def map(self, fn) -> "ModOrbit":
+        """The sequence fn(value(i)), with the same tail and cycle lengths."""
+        # tuples from sized lists: tuple() of an unsized iterator grows by
+        # resizing, which strands megabytes in CPython's per-size tuple free
+        # lists over a table regeneration
+        return replace(self, tail=tuple([fn(v) for v in self.tail]),
+                       cycle=tuple([fn(v) for v in self.cycle]))
 
 
 def orbit_mod(c: int, p: int) -> ModOrbit:
+    """Orbit of 0 under x -> x^2 + 1/c mod an odd prime p not dividing c."""
     if p % 2 == 0 or p < 3:
         raise ValueError("p must be an odd prime")
     if c % p == 0:
         raise ValueError(f"prime {p} divides c = {c}")
-    c0 = pow(c % p, -1, p)
-    seen: dict[int, int] = {}
-    values: list[int] = []
-    x = 0
-    while x not in seen:
-        seen[x] = len(values)
-        values.append(x)
-        x = (x * x + c0) % p
-    start = seen[x]
-    return ModOrbit(p, c0, tuple(values[:start]), tuple(values[start:]))
+    return ModOrbit.of(pow(c % p, -1, p), p)
 
 
 class NumeratorTarget:
-    """The integer sequence a_n itself, reduced by the pair recurrence."""
+    """The integer sequence a_n itself."""
 
     label = "a_n"
 
     def ok_mod(self, c: int, k: int) -> bool:
         return math.gcd(c, k) == 1
 
-    def state0(self, c: int, k: int):
-        return (1, 1)  # (a_1, c^(2^0 - 1)) mod k
+    def reduce(self, c: int, k: int) -> ModOrbit:
+        """a_n mod k for c coprime to k.
 
-    def step(self, st, c: int, k: int):
-        a, q = st
-        q = q * q * c % k
-        return ((a * a + q) % k, q)
-
-    def value(self, st, c: int, k: int) -> int:
-        return st[0]
+        f^n(0) = a_n / c^(2^(n-1)), so a_n = x_n * y_n (mod k) with x_n the
+        orbit of 0 under x^2 + 1/c and y_n = c^(2^(n-1)) the orbit of c under
+        y -> y^2, taken one step behind.
+        """
+        x = ModOrbit.of(pow(c % k, -1, k), k)
+        y = ModOrbit.of(0, k, c)
+        tail = max(len(x.tail), len(y.tail) + 1)
+        period = math.lcm(x.period, y.period)
+        size = tail + period
+        ys = (0,) + y.prefix(size - 1)   # ys[n] = y_n; a_0 = x_0 = 0
+        values = tuple([a * b % k for a, b in zip(x.prefix(size), ys)])   # list: see map()
+        return ModOrbit(k, x.c0, values[:tail], values[tail:])
 
     def exact(self, c: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
         return Fraction(critical_numerators(c, n, bit_budget)[-1])
@@ -110,22 +143,19 @@ class FactorTarget:
             return False
         return all(math.gcd(co.denominator, k) == 1 for co in self.g.coeffs)
 
-    def state0(self, c: int, k: int):
-        c0 = pow(c % k, -1, k)
-        return (c0, c0)  # (x_1, c0)
+    def reduce(self, c: int, k: int) -> ModOrbit:
+        """g(x_n) mod k over the orbit x_n of 0 under x^2 + 1/c mod k."""
+        x = ModOrbit.of(pow(c % k, -1, k), k)
+        coeffs = [co.numerator * pow(co.denominator, -1, k) % k
+                  for co in reversed(self.g.coeffs)]
 
-    def step(self, st, c: int, k: int):
-        x, c0 = st
-        return ((x * x + c0) % k, c0)
+        def g(v: int) -> int:
+            acc = 0
+            for a in coeffs:
+                acc = (acc * v + a) % k
+            return acc
 
-    def value(self, st, c: int, k: int) -> int:
-        x, _ = st
-        acc = 0
-        for co in reversed(self.g.coeffs):
-            num = co.numerator % k
-            den = pow(co.denominator % k, -1, k)
-            acc = (acc * x + num * den) % k
-        return acc
+        return x.map(g)
 
     def exact(self, c: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
         return self.g(orbit_point(c, n, bit_budget))
@@ -135,30 +165,6 @@ class FactorTarget:
 
 
 Target = NumeratorTarget | FactorTarget
-
-
-def reduced_sequence(c: int, target: Target, k: int) -> tuple[list[int], int, int]:
-    """Values t_1.. with cycle data.
-
-    Returns (values, m, L): the state is periodic with period L from step m
-    (1-indexed), and values covers 1 .. m + 2L.
-    """
-    seen: dict = {}
-    states = []
-    st = target.state0(c, k)
-    n = 1
-    while st not in seen:
-        seen[st] = n
-        states.append(st)
-        st = target.step(st, c, k)
-        n += 1
-    m = seen[st]
-    L = n - m
-    total = m + 2 * L
-    while len(states) < total:
-        states.append(target.step(states[-1], c, k))
-    values = [target.value(s, c, k) for s in states[:total]]
-    return values, m, L
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,9 @@ class SieveCertificate:
 
 def _certificate_from_cycle(c: int, target: Target, p: int,
                             max_values: int | None) -> SieveCertificate | None:
-    values, m, L = reduced_sequence(c, target, p)
-    window = values[m - 1: m - 1 + L]
+    seq = target.reduce(c, p)
+    m, L = seq.entry, seq.period
+    window = [seq.value(n) for n in range(m, m + L)]
     d = next(cand for cand in range(1, L + 1)
              if L % cand == 0 and all(window[i] == window[i % cand] for i in range(L)))
     pattern = window[:d]
@@ -188,19 +195,18 @@ def _certificate_from_cycle(c: int, target: Target, p: int,
     if any(jacobi(v, p) != -1 for v in pattern):
         return None
     start = m
-    while start > 1 and values[start - 2] == values[start - 2 + d]:
+    while start > 1 and seq.value(start - 1) == seq.value(start - 1 + d):
         start -= 1
     kind = "constant" if d == 1 else ("two_cycle" if d == 2 else "cycle")
     return SieveCertificate(p, start, kind, tuple(pattern), target.describe(c))
 
 
 def find_sieve_certificate(c: int, target: Target, p_max: int = 500,
-                           max_values: int | None = 2,
-                           skip: tuple[int, ...] = ()) -> SieveCertificate | None:
+                           max_values: int | None = 2) -> SieveCertificate | None:
     """Smallest odd prime p <= p_max certifying the target eventually
     non-residue mod p; None when no prime qualifies."""
     for p in primes_to(p_max):
-        if p == 2 or p in skip or not target.ok_mod(c, p):
+        if p == 2 or not target.ok_mod(c, p):
             continue
         cert = _certificate_from_cycle(c, target, p, max_values)
         if cert is not None:
@@ -223,13 +229,13 @@ def verify_sieve_certificate(cert: SieveCertificate, c: int, target: Target) -> 
     for v in cert.values:
         if jacobi(v, p) != -1:
             raise AssertionError(f"{v} is not a non-residue mod {p}")
-    values, m, L = reduced_sequence(c, target, p)
-    if L % d != 0:
+    seq = target.reduce(c, p)
+    if seq.period % d != 0:
         raise AssertionError("claimed period does not divide the state period")
-    if cert.start > m:
+    if cert.start > seq.entry:
         raise AssertionError("claimed start lies beyond the verified cycle entry")
-    for n in range(cert.start, len(values) + 1):
-        if values[n - 1] != cert.values[(n - cert.start) % d]:
+    for n in range(cert.start, seq.entry + 2 * seq.period + 1):
+        if seq.value(n) != cert.values[(n - cert.start) % d]:
             raise AssertionError(f"value mismatch at index {n}")
 
 
@@ -274,9 +280,7 @@ def check_term_nonsquare(c: int, target: Target, n: int,
     for p in primes_to(prime_budget):
         if p == 2 or not target.ok_mod(c, p):
             continue
-        values, m, L = reduced_sequence(c, target, p)
-        idx = n if n <= len(values) else m + (n - m) % L
-        if jacobi(values[idx - 1], p) == -1:
+        if jacobi(target.reduce(c, p).value(n), p) == -1:
             return TermCheck(n, True, "jacobi", p)
     raise TermUnresolved(f"term {n} of {target.describe(c)} unresolved")
 
@@ -303,10 +307,6 @@ class CongruenceTable:
         return sorted(self.rows)
 
 
-def _numerator_values_mod(c_class: int, k: int) -> tuple[list[int], int, int]:
-    return reduced_sequence(c_class, NumeratorTarget(), k)
-
-
 def _admission_patterns(c_class: int, k: int) -> dict[str, bool]:
     """The two published admission patterns plus the divisibility closure.
 
@@ -315,14 +315,9 @@ def _admission_patterns(c_class: int, k: int) -> dict[str, bool]:
     closure:      every odd index >= 5 coprime to 3 is non-residue (the rest
                   follow from rigid divisibility through indices 2, 3, 4).
     """
-    values, m, L = _numerator_values_mod(c_class, k)
-    W = m + 6 * L + 12
-    if len(values) < W:
-        # extend by state periodicity: the value at 1-indexed position i > m
-        # equals the one at m + (i - m) mod L
-        values = values + [values[m - 1 + (i + 1 - m) % L]
-                           for i in range(len(values), W)]
-    ns = [False] + [_nonsquare_value_mod(v, k) for v in values[:W]]
+    seq = NumeratorTarget().reduce(c_class, k)
+    W = seq.entry + 6 * seq.period + 12
+    ns = seq.map(lambda v: _nonsquare_value_mod(v, k)).prefix(W + 1)
     return {
         "odd_from_5": all(ns[n] for n in range(5, W + 1, 2)),
         "offsets_7_5": (all(ns[n] for n in range(7, W + 1, 3))
@@ -487,43 +482,19 @@ def verify_m_rule(k: int, residue: int, needs_m_minus_1: bool) -> bool:
     with 2 | n + 1 are exempt exactly when m - 1 is a non-square.  A row is
     valid when every remaining index shows a non-residue.
     """
-    # orbit of 0 under x^2 + c0 with c = -m^2; values g2 = x + 1/m
     m = residue
     if math.gcd(m, k) != 1:
         return False
-    c0_den = (-(m * m)) % k
-    if math.gcd(c0_den, k) != 1:
-        return False
-    c0 = pow(c0_den, -1, k)
-    inv_m = pow(m % k, -1, k)
-    seen: dict[int, int] = {}
-    xs: list[int] = []
-    x = 0
-    n = 1
-    while True:
-        x = (x * x + c0) % k
-        if x in seen:
-            pre, L = seen[x], n - seen[x]
-            break
-        seen[x] = n
-        xs.append(x)
-        n += 1
-    W = pre + 6 * L + 12
-    while len(xs) < W:
-        xs.append((xs[-1] * xs[-1] + c0) % k)
-    vals = [None] + [(xv + inv_m) % k for xv in xs]  # vals[n] = g2-value at n
+    # c = -m^2 and g2 = x + 1/m, both read mod k
+    seq = FactorTarget(FactorPoly("g2", (Fraction(1, m), Fraction(1)), m=m)).reduce(-m * m, k)
+    W = seq.entry + 6 * seq.period + 12
+
     def exempt(i: int) -> bool:
         if (i + 1) % 3 == 0:
             return True
         return needs_m_minus_1 and (i + 1) % 2 == 0
-    return all(_nonsquare_value_mod(vals[i], k)
-               for i in range(2, W + 1) if not exempt(i))
-
-
-def prime_residue_rule_match(x: int, residue: int, modulus: int,
-                             fac: dict[int, int]) -> list[int]:
-    """Primes p | x with p = residue (mod modulus), from a factorization."""
-    return sorted(p for p in fac if p % modulus == residue)
+    ns = seq.map(lambda v: _nonsquare_value_mod(v, k)).prefix(W + 1)
+    return all(ns[i] for i in range(2, W + 1) if not exempt(i))
 
 
 @dataclass(frozen=True)

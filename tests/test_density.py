@@ -4,6 +4,7 @@ import pytest
 
 from quadorbit.density import (ExcludedPrime, density_profile, divides_orbit,
                                profile_rows)
+from quadorbit.primes import sieve_primes
 from quadorbit.sieve import jacobi
 
 
@@ -57,3 +58,30 @@ def test_profile_deterministic():
     b = density_profile(6, 0, 2000)
     assert a == b
     assert profile_rows(a) == profile_rows(b)
+
+
+def _naive_divides_orbit(p, c, t, exact_zero):
+    """Step the orbit of t mod p 2p times; a visit to 0 counts unless it is
+    the index where the exact orbit value is 0.
+
+    Tail plus cycle is at most p, so 2p steps see every visit pattern."""
+    c0 = pow(c, -1, p)
+    x = t.numerator * pow(t.denominator, -1, p) % p
+    for n in range(2 * p):
+        if x == 0 and n != exact_zero:
+            return True
+        x = (x * x + c0) % p
+    return False
+
+
+def test_divides_orbit_matches_naive_simulation():
+    # (c, t, index of the exact zero of the orbit of t, or None)
+    cases = [(2, 0, 0), (5, 0, 0), (-7, 0, 0), (-10, 0, 0), (1000003, 0, 0),
+             (3, Fraction(7, 2), None), (6, 1, None), (10, Fraction(-5, 9), None),
+             (-4, Fraction(1, 2), 1), (-9, Fraction(-1, 3), 1), (-16, Fraction(1, 4), 1)]
+    for c, t, exact_zero in cases:
+        t = Fraction(t)
+        for p in sieve_primes(1999):
+            if c % p == 0 or t.denominator % p == 0:
+                continue
+            assert divides_orbit(p, c, t) == _naive_divides_orbit(p, c, t, exact_zero), (p, c, t)

@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from quadorbit.factors import build_pattern
+from quadorbit.factors import FactorPoly, build_pattern
+from quadorbit.orbit import critical_numerators
 from quadorbit.primes import sieve_primes
 from quadorbit.sieve import (FactorTarget, NumeratorTarget, M_RULES_NEED_M_MINUS_1,
                              M_RULES_UNCONDITIONAL, TermUnresolved,
@@ -11,7 +14,7 @@ from quadorbit.sieve import (FactorTarget, NumeratorTarget, M_RULES_NEED_M_MINUS
                              jacobi, load_static_congruence_table,
                              match_congruence_rows, match_m_rules, orbit_mod,
                              parse_congruence_table, format_congruence_table,
-                             regenerate_congruence_table, reduced_sequence,
+                             regenerate_congruence_table,
                              verify_m_rule, verify_row_coverage,
                              verify_sieve_certificate)
 
@@ -118,12 +121,75 @@ def test_goal_search_agreement_with_exact_values():
     c = 48
     tgt = FactorTarget(_factor(48, "q1"))
     cert = certificate_at_prime(c, tgt, 239)
-    vals, m, L = reduced_sequence(c, tgt, cert.p)
+    seq = tgt.reduce(c, cert.p)
     for n in range(1, cert.start + len(cert.values) + 2):
         exact = tgt.exact(c, n)
         num = exact.numerator % cert.p
         den = pow(exact.denominator % cert.p, -1, cert.p)
-        assert vals[n - 1] == num * den % cert.p
+        assert seq.value(n) == num * den % cert.p
+
+
+# --- reductions mod k against exact values and a step-by-step reference ------
+
+MODULI = (4, 8) + tuple(p for p in sieve_primes(199) if p > 2)
+C_VALUES = st.one_of(st.integers(-10 ** 6, -2), st.integers(1, 1000),
+                     st.integers(10 ** 29, 10 ** 30), st.integers(-10 ** 30, -10 ** 29))
+POLYS = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                 min_size=1, max_size=4).map(lambda co: FactorPoly("g", tuple(co)))
+
+
+def _naive_numerator_mod(c, k, n):
+    # a_1 = 1 and a_{j+1} = a_j^2 + c^(2^j - 1), stepped mod k n - 1 times
+    a, q = 1, 1
+    for _ in range(n - 1):
+        q = q * q * c % k
+        a = (a * a + q) % k
+    return a
+
+
+def _naive_factor_mod(g, c, k, n):
+    c0 = pow(c, -1, k)
+    x = 0
+    for _ in range(n):
+        x = (x * x + c0) % k
+    return sum(co.numerator * pow(co.denominator, -1, k) * pow(x, i, k)
+               for i, co in enumerate(g.coeffs)) % k
+
+
+def _mod(value: Fraction, k):
+    return value.numerator * pow(value.denominator, -1, k) % k
+
+
+@settings(deadline=None)
+@given(C_VALUES, st.sampled_from(MODULI), st.integers(1, 40))
+def test_numerator_reduction_matches_exact_values(c, k, n):
+    assume(math.gcd(c, k) == 1)
+    seq = NumeratorTarget().reduce(c, k)
+    assert seq.value(n) == _naive_numerator_mod(c, k, n)
+    if n <= 10:
+        assert seq.value(n) == critical_numerators(c, n)[-1] % k
+
+
+@settings(deadline=None)
+@given(C_VALUES, st.sampled_from(MODULI), st.integers(1, 40), POLYS)
+def test_factor_reduction_matches_exact_values(c, k, n, g):
+    tgt = FactorTarget(g)
+    assume(tgt.ok_mod(c, k))
+    seq = tgt.reduce(c, k)
+    assert seq.value(n) == _naive_factor_mod(g, c, k, n)
+    if n <= 10:
+        assert seq.value(n) == _mod(tgt.exact(c, n), k)
+
+
+@settings(max_examples=6, deadline=None)
+@given(C_VALUES, st.sampled_from(MODULI))
+def test_reductions_far_past_the_stored_window(c, k):
+    assume(math.gcd(c, k) == 1)
+    n = 10 ** 6
+    assert NumeratorTarget().reduce(c, k).value(n) == _naive_numerator_mod(c, k, n)
+    g = FactorPoly("g", (Fraction(3, 7), Fraction(-2), Fraction(1)))
+    if FactorTarget(g).ok_mod(c, k):
+        assert FactorTarget(g).reduce(c, k).value(n) == _naive_factor_mod(g, c, k, n)
 
 
 def test_residual_checks():
