@@ -281,7 +281,7 @@ def check_split_bounds(c: int, n: int, split: FactorSplit, bits: int = 192) -> b
     return Fraction(c) > rounding.iv_endpoints(cons)[1]
 
 
-def initial_divisor_bound(n: int, bits: int = 192) -> int:
+def initial_divisor_bound(n: int) -> int:
     """Starting lower bound on |v| in any split forced by a square a_n.
 
     ((sqrt2 - 1)^(1/N)/theta) * (N/log4 - 3), rounded to the next integer
@@ -298,4 +298,4 @@ def initial_divisor_bound(n: int, bits: int = 192) -> int:
         base = ctx.exp(ctx.log(ctx.sqrt(two) - 1) / N)
         return base / theta * (ctx.mpf(N) / ctx.log(4) - 3)
 
-    return rounding.floor_of_lower(build, bits) + 1
+    return rounding.floor_of_lower(build, 192) + 1

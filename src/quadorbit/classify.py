@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from . import lattice as lattice_mod
 from .bounds import (square_split_inequality, stable_iterate_bound,
@@ -21,12 +21,13 @@ from .bounds import (square_split_inequality, stable_iterate_bound,
 from .factors import (FactorPoly, SPECIAL_S, build_pattern,
                       negative_square_parameter, obstruction,
                       quartic_form_parameter)
-from .orbit import critical_numerators, is_perfect_square, isqrt_if_square
-from .primes import FactorizationBudget, factorize, primes_to
-from .sieve import (FactorTarget, NumeratorTarget, TermUnresolved,
+from .orbit import (critical_numerators, is_perfect_square, is_rational_square,
+                    isqrt_if_square)
+from .primes import FactorizationBudget, primes_to
+from .sieve import (FactorTarget, NumeratorTarget, SieveCertificate, TermUnresolved,
                     certificate_at_prime, check_term_nonsquare,
                     find_sieve_certificate, jacobi, load_static_congruence_table,
-                    match_congruence_rows, match_m_rules, verify_m_rule,
+                    match_congruence_rows, match_fixed_rules, verify_m_rule,
                     verify_row_coverage, verify_sieve_certificate)
 
 
@@ -46,15 +47,6 @@ class CaseVerdict:
     case_id: CaseId
     m: int | None = None
     s: int | None = None
-
-    @property
-    def f_reducible(self) -> bool:
-        return self.case_id in (CaseId.SPLIT_BASE, CaseId.SPLIT_DEEP_M4,
-                                CaseId.SPLIT_SQUARE_S, CaseId.SPLIT_SPECIAL_S)
-
-    @property
-    def f2_reducible(self) -> bool:
-        return self.case_id is not CaseId.STABLE
 
 
 def detect_case(c: int) -> CaseVerdict:
@@ -100,25 +92,23 @@ def factor_count_profile(verdict: CaseVerdict) -> FactorCountProfile:
     return _PROFILES[verdict.case_id]
 
 
-# Published sieve primes for the named special splittings; re-derived and
-# verified at use, pinned only so reports match the recorded computations.
+# Published sieve primes for the named special splittings where the search
+# finds a smaller prime (131 for q1 at c = 48, 29 for h12 at s = 56);
+# re-derived and verified at use, pinned only so reports match the recorded
+# computations.
 PINNED_SIEVE_PRIMES: dict[tuple[int, str], int] = {
-    (-16, "g21"): 11,
-    (-16, "g22"): 5,
     (48, "q1"): 239,
-    (48, "v1"): 239,
-    (48, "v2"): 41,
-    (-64, "h12"): 29,      # s = 3
-    (-576, "h12"): 23,     # s = 5
     (-9828225, "h12"): 31,  # s = 56
 }
+
+# primes tried for a Jacobi witness when a residual term is too big to test exactly
+RESIDUAL_PRIME_BUDGET = 100
 
 
 @dataclass
 class Effort:
     p_max_schedule: tuple[int, ...] = (500, 1201)
     exact_bit_budget: int = 1 << 20
-    residual_prime_budget: int = 100
     lattice_pool: dict[int, Any] | None = None   # prime -> DivisorBoundCertificate
 
     @staticmethod
@@ -165,41 +155,15 @@ def _frac(x: Fraction) -> str:
 
 def _exact_nonsquare_cert(label: str, n: int, value: Fraction) -> Cert | None:
     """Exact non-square certificate, or None when the value is a square."""
-    num, den = value.numerator, value.denominator
-    if value >= 0 and is_perfect_square(num) and is_perfect_square(den):
+    if is_rational_square(value):
         return None
     return {"kind": "exact-nonsquare", "target": label, "index": n,
             "value": _frac(value)}
 
 
-def _sieve_cert_dict(cert) -> Cert:
-    return {"kind": "sieve", "p": cert.p, "start": cert.start,
-            "cycle_kind": cert.kind, "values": list(cert.values),
-            "target": cert.target}
-
-
-def _residual_certs(c: int, target, lo: int, hi: int, effort: Effort,
-                    label: str) -> tuple[list[Cert], list[int], bool]:
-    """Exact/Jacobi checks for indices lo..hi; returns (certs, unresolved, square_found)."""
-    certs: list[Cert] = []
-    unresolved: list[int] = []
-    for n in range(lo, hi + 1):
-        try:
-            tc = check_term_nonsquare(c, target, n, effort.residual_prime_budget,
-                                      effort.exact_bit_budget)
-        except TermUnresolved:
-            unresolved.append(n)
-            continue
-        if not tc.nonsquare:
-            return certs, unresolved, True
-        certs.append({"kind": "residual", "target": label, "index": n,
-                      "witness_kind": tc.witness_kind, "witness": tc.witness})
-    return certs, unresolved, False
-
-
 def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort,
                  head_certs: list[Cert]) -> TrackReport:
-    """Track proved by a sieve certificate plus residual checks below it.
+    """Track proved by a sieve certificate plus residual checks below its start.
 
     first_index is the first sequence index the track must cover (1 when the
     even-degree factor has no sign shortcut, 2 when index 1 is handled by a
@@ -207,10 +171,8 @@ def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort,
     """
     target = FactorTarget(g)
     claim = f"{g.name}(f^n(x)) irreducible for all n"
-    cert = None
     pin = PINNED_SIEVE_PRIMES.get((c, g.name))
-    if pin is not None:
-        cert = certificate_at_prime(c, target, pin)
+    cert = certificate_at_prime(c, target, pin) if pin is not None else None
     if cert is None:
         for p_max in effort.p_max_schedule:
             cert = find_sieve_certificate(c, target, p_max,
@@ -221,13 +183,22 @@ def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort,
     if cert is None:
         return TrackReport(g.name, claim, certs, "CONDITIONAL",
                            "no sieve certificate within the prime schedule")
-    certs.append(_sieve_cert_dict(cert))
-    res, unresolved, square = _residual_certs(
-        c, target, first_index, cert.start - 1, effort, g.name)
-    certs.extend(res)
-    if square:
-        return TrackReport(g.name, claim, certs, "FAILED",
-                           "a composition value is an exact square")
+    certs.append({"kind": "sieve", "p": cert.p, "start": cert.start,
+                  "cycle_kind": cert.kind, "values": list(cert.values),
+                  "target": cert.target})
+    unresolved: list[int] = []
+    for n in range(first_index, cert.start):
+        try:
+            tc = check_term_nonsquare(c, target, n, RESIDUAL_PRIME_BUDGET,
+                                      effort.exact_bit_budget)
+        except TermUnresolved:
+            unresolved.append(n)
+            continue
+        if not tc.nonsquare:
+            return TrackReport(g.name, claim, certs, "FAILED",
+                               "a composition value is an exact square")
+        certs.append({"kind": "residual", "target": g.name, "index": n,
+                      "witness_kind": tc.witness_kind, "witness": tc.witness})
     if unresolved:
         return TrackReport(g.name, claim, certs, "CONDITIONAL",
                            f"indices {unresolved} unresolved within budget")
@@ -240,119 +211,104 @@ def _negative_values_cert(g: FactorPoly, from_index: int) -> Cert:
             "root": _frac(-g.coeffs[0])}
 
 
-def _g2_track(c: int, m: int, g2: FactorPoly, effort: Effort) -> TrackReport:
-    """The x + 1/m factor: congruence rules first, sieve search as fallback."""
+def _negative_obstruction_cert(c: int, g: FactorPoly) -> Cert:
+    return {"kind": "negative-obstruction", "target": g.name, "index": 1,
+            "value": _frac(obstruction(g, c, 1).value)}
+
+
+# --- the case table -----------------------------------------------------------
+# A builder proves one track: builder(c, verdict, factors, name, effort), with
+# factors the named factor pattern of c ({} in the stable case) and name the
+# track's factor.
+
+def _pattern_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+                   name: str, effort: Effort) -> TrackReport:
+    """f (cases 1-4) or f^2 (cases 5, 6) is the product of the named factors;
+    f itself stays irreducible in the quartic-form cases by the case shape."""
+    certs = [{"kind": "factor-pattern", "names": sorted(factors)}]
+    if name == "f^2":
+        certs.append({"kind": "case-detection", "case": int(verdict.case_id)})
+    return TrackReport(name, "factor pattern product identities", certs, "VERIFIED")
+
+
+def _linear_track(from_index: int):
+    """Builder for a linear factor: a non-square obstruction at index 1, then
+    negative values along the orbit from from_index on."""
+    def build(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+              name: str, effort: Effort) -> TrackReport:
+        g = factors[name]
+        # (m+1)/m^2, (s^3-s+1)/m^2 or (m t+1)/m^2, non-square in these cases
+        cert = _exact_nonsquare_cert(name, 1, obstruction(g, c, 1).value)
+        assert cert is not None
+        return TrackReport(name, f"{name}(f^n(x)) irreducible for all n",
+                           [cert, _negative_values_cert(g, from_index)], "VERIFIED")
+    return build
+
+
+def _sieve_after_obstruction(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+                             name: str, effort: Effort) -> TrackReport:
+    g = factors[name]
+    return _sieve_track(c, g, 2, effort, [_negative_obstruction_cert(c, g)])
+
+
+def _sieve_after_discriminant(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+                              name: str, effort: Effort) -> TrackReport:
+    g = factors[name]
+    head = [{"kind": "negative-discriminant", "factor": name,
+             "value": _frac(g.coeffs[1] ** 2 - 4 * g.coeffs[0])}]
+    return _sieve_track(c, g, 1, effort, head)
+
+
+def _g2_sign_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+                   name: str, effort: Effort) -> TrackReport:
+    # m = 4: g2 composed once stays irreducible by sign; the second composition
+    # splits into g21 * g22, which carry their own tracks
+    return TrackReport(name, "g2(f(x)) irreducible",
+                       [_negative_obstruction_cert(c, factors[name])], "VERIFIED")
+
+
+def _g2_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+              name: str, effort: Effort) -> TrackReport:
+    """The x + 1/m factor: fixed congruence rules first, sieve search as fallback."""
+    m, g2 = verdict.m, factors[name]
     claim = "g2(f^n(x)) irreducible for all n"
-    head: list[Cert] = [{"kind": "negative-obstruction", "target": "g2", "index": 1,
-                         "value": _frac(obstruction(g2, c, 1).value)}]
-    w3 = obstruction(g2, c, 2).value  # (m^3 - m^2 + 1)/m^4
-    w3_cert = _exact_nonsquare_cert("g2", 2, w3)
-    m1_cert = _exact_nonsquare_cert("m-1", 0, Fraction(m - 1)) if m > 1 else None
-    for rule in match_m_rules(m):
-        # published rows sometimes verify only with the conditional
-        # exemptions; try the unconditional reading first, then widen
-        modes = [True] if rule.needs_m_minus_1_nonsquare else [False, True]
-        for needs in modes:
-            if w3_cert is None:
-                continue  # m = 4 territory, handled by its own case
-            if needs and m1_cert is None:
-                continue
-            if not verify_m_rule(rule.modulus, rule.residue, needs):
-                continue
-            certs = head + [
-                {"kind": "m-congruence", "modulus": rule.modulus,
-                 "residue": rule.residue, "needs_m_minus_1": needs},
-                w3_cert, {"kind": "rigid-divisibility", "through": "w3"}]
-            if needs:
-                certs += [m1_cert, {"kind": "rigid-divisibility", "through": "w2"}]
-            return TrackReport("g2", claim, certs, "VERIFIED")
-    for p_mod8, needs_m1 in ((7, False), (3, True)):
-        if needs_m1 and m1_cert is None:
+    head = [_negative_obstruction_cert(c, g2)]
+    w3_cert = _exact_nonsquare_cert("g2", 2, obstruction(g2, c, 2).value)  # (m^3-m^2+1)/m^4
+    m1_cert = _exact_nonsquare_cert("m-1", 0, Fraction(m - 1))
+
+    def verified(rule_certs: list[Cert], needs_m1: bool) -> TrackReport:
+        if needs_m1:
+            rule_certs += [m1_cert, {"kind": "rigid-divisibility", "through": "w2"}]
+        return TrackReport(name, claim, head + rule_certs, "VERIFIED")
+
+    # the list rules come first, so m+1 is factored only when none verifies
+    primes: list[int] = []
+    for rule in match_fixed_rules(m=m):
+        needs_m1 = rule.requires_nonsquare == "m-1"
+        if rule.family == "m-neg-one-prime":
+            if m1_cert is not None or not needs_m1:
+                primes.append(rule.modulus)
             continue
-        fac = factorize(m + 1)
-        ps = [p for p in fac if p % 8 == p_mod8]
-        if ps:
-            certs = head + [{"kind": "m-neg-one-prime", "p": min(ps),
-                             "mod8": p_mod8}]
-            if needs_m1:
-                certs += [m1_cert, {"kind": "rigid-divisibility", "through": "w2"}]
-            return TrackReport("g2", claim, certs, "VERIFIED")
+        # published rows sometimes verify only with the conditional
+        # exemptions; try the unconditional reading first, then widen.
+        # w3 is a square only for m = 4, which has its own case.
+        for needs in [True] if needs_m1 else [False, True]:
+            if w3_cert is not None and (m1_cert is not None or not needs) \
+                    and verify_m_rule(rule.modulus, rule.residue, needs):
+                return verified([{"kind": "m-congruence", "modulus": rule.modulus,
+                                  "residue": rule.residue, "needs_m_minus_1": needs},
+                                 w3_cert, {"kind": "rigid-divisibility", "through": "w3"}],
+                                needs)
+    if primes:   # a prime 7 (mod 8) needs no hypothesis on m-1, so it goes first
+        p = min(primes, key=lambda q: (q % 8 == 3, q))
+        return verified([{"kind": "m-neg-one-prime", "p": p, "mod8": p % 8}], p % 8 == 3)
     return _sieve_track(c, g2, 2, effort, head)
 
 
-def _verify_split_negative_square(c: int, verdict: CaseVerdict,
-                                  effort: Effort) -> list[TrackReport]:
-    m, s = verdict.m, verdict.s
-    pattern = {g.name: g for g in build_pattern(c)}
-    tracks = [TrackReport("f", "factor pattern product identities", [
-        {"kind": "factor-pattern", "names": sorted(pattern)}], "VERIFIED")]
-    if verdict.case_id in (CaseId.SPLIT_BASE, CaseId.SPLIT_DEEP_M4):
-        g1 = pattern["g1"]
-        ob1 = obstruction(g1, c, 1).value  # (m+1)/m^2, non-square since m+1 is
-        cert = _exact_nonsquare_cert("g1", 1, ob1)
-        assert cert is not None  # m+1 non-square in these cases
-        tracks.append(TrackReport(
-            "g1", "g1(f^n(x)) irreducible for all n",
-            [cert, _negative_values_cert(g1, 1)], "VERIFIED"))
-    else:
-        h1, h2 = pattern["h1"], pattern["h2"]
-        if verdict.case_id is CaseId.SPLIT_SQUARE_S:
-            val = obstruction(h1, c, 1).value  # (s^3 - s + 1)/m^2
-            cert = _exact_nonsquare_cert("h1", 1, val)
-            assert cert is not None  # s outside the special set
-            tracks.append(TrackReport(
-                "h1", "h1(f^n(x)) irreducible for all n",
-                [cert, _negative_values_cert(h1, 1)], "VERIFIED"))
-        else:
-            h11, h12 = pattern["h11"], pattern["h12"]
-            val = obstruction(h11, c, 1).value  # (m t + 1)/m^2
-            cert = _exact_nonsquare_cert("h11", 1, val)
-            assert cert is not None  # the three numerators factor non-square
-            tracks.append(TrackReport(
-                "h11", "h11(f^n(x)) irreducible for all n",
-                [cert, _negative_values_cert(h11, 2)], "VERIFIED"))
-            head = [{"kind": "negative-obstruction", "target": "h12", "index": 1,
-                     "value": _frac(obstruction(h12, c, 1).value)}]
-            tracks.append(_sieve_track(c, h12, 2, effort, head))
-        head = [{"kind": "negative-obstruction", "target": "h2", "index": 1,
-                 "value": _frac(obstruction(h2, c, 1).value)}]
-        tracks.append(_sieve_track(c, h2, 2, effort, head))
-    if verdict.case_id is CaseId.SPLIT_DEEP_M4:
-        # g2 composed once stays irreducible by sign; the second composition
-        # splits into g21 * g22, which carry their own tracks
-        g2 = pattern["g2"]
-        tracks.append(TrackReport(
-            "g2", "g2(f(x)) irreducible",
-            [{"kind": "negative-obstruction", "target": "g2", "index": 1,
-              "value": _frac(obstruction(g2, c, 1).value)}], "VERIFIED"))
-        for name in ("g21", "g22"):
-            g = pattern[name]
-            disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
-            head = [{"kind": "negative-discriminant", "factor": name,
-                     "value": _frac(disc)}]
-            tracks.append(_sieve_track(c, g, 1, effort, head))
-    else:
-        tracks.append(_g2_track(c, m, pattern["g2"], effort))
-    return tracks
-
-
-def _verify_quartic_form(c: int, verdict: CaseVerdict,
-                         effort: Effort) -> list[TrackReport]:
-    pattern = {g.name: g for g in build_pattern(c)}
-    tracks = [TrackReport("f^2", "factor pattern product identities", [
-        {"kind": "factor-pattern", "names": sorted(pattern)},
-        {"kind": "case-detection", "case": int(verdict.case_id)}], "VERIFIED")]
-    names = ("q1", "q2") if verdict.case_id is CaseId.QUARTIC_FORM else ("q1", "v1", "v2")
-    for name in names:
-        g = pattern[name]
-        disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
-        head = [{"kind": "negative-discriminant", "factor": name,
-                 "value": _frac(disc)}]
-        tracks.append(_sieve_track(c, g, 1, effort, head))
-    return tracks
-
-
 _STATIC_TABLE = None
+# producer-side memo of verify_row_coverage, a pure function of the table
+# row; the checker recomputes the coverage for every certificate it reads
+_ROW_COVERAGE: dict[tuple[int, int], str | None] = {}
 
 
 def _static_table():
@@ -360,6 +316,12 @@ def _static_table():
     if _STATIC_TABLE is None:
         _STATIC_TABLE = load_static_congruence_table()
     return _STATIC_TABLE
+
+
+def _row_coverage(k: int, r: int) -> str | None:
+    if (k, r) not in _ROW_COVERAGE:
+        _ROW_COVERAGE[(k, r)] = verify_row_coverage(k, r)
+    return _ROW_COVERAGE[(k, r)]
 
 
 def _estimated_bits(c: int, n: int) -> int:
@@ -384,42 +346,42 @@ def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert | None:
     return {"kind": "prime-lattice", "index": p, "certificate": cert}
 
 
-def _verify_stable(c: int, effort: Effort) -> list[TrackReport]:
+def _stable_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
+                  name: str, effort: Effort) -> TrackReport:
+    """Case 7: one track for f itself, by the first route that applies."""
     claim = "f^n(x) irreducible for all n"
     certs: list[Cert] = [{"kind": "case-detection", "case": 7}]
     if c < 0:
         certs.append({"kind": "negative-orbit"})
-        return [TrackReport("f", claim, certs, "VERIFIED")]
+        return TrackReport(name, claim, certs, "VERIFIED")
     if c % 2 == 1:
         certs.append({"kind": "odd-two-adic"})
-        return [TrackReport("f", claim, certs, "VERIFIED")]
+        return TrackReport(name, claim, certs, "VERIFIED")
     c1_cert = _exact_nonsquare_cert("a_n", 2, Fraction(c + 1))
     if c1_cert is not None:
         try:
-            fac = factorize(c + 1)
+            ps = [rule.modulus for rule in match_fixed_rules(c=c)]
         except FactorizationBudget:
-            fac = None
-        if fac:
-            ps = [p for p in fac if p % 4 == 3]
-            if ps:
-                certs += [{"kind": "neg-one-prime", "p": min(ps)}, c1_cert,
-                          {"kind": "rigid-divisibility", "through": "a2"}]
-                return [TrackReport("f", claim, certs, "VERIFIED")]
+            ps = []
+        if ps:
+            certs += [{"kind": "neg-one-prime", "p": min(ps)}, c1_cert,
+                      {"kind": "rigid-divisibility", "through": "a2"}]
+            return TrackReport(name, claim, certs, "VERIFIED")
         for k, r in match_congruence_rows(c, _static_table()):
-            coverage = verify_row_coverage(k, r)
+            coverage = _row_coverage(k, r)
             if coverage:
                 certs += [{"kind": "table-congruence", "modulus": k, "residue": r,
                            "coverage": coverage}, c1_cert,
                           {"kind": "rigid-divisibility", "through": "a2"}]
-                return [TrackReport("f", claim, certs, "VERIFIED")]
+                return TrackReport(name, claim, certs, "VERIFIED")
     if c >= 4:
         try:
             if valuation_split_inequality(c):
                 certs.append({"kind": "split-inequality"})
-                return [TrackReport("f", claim, certs, "VERIFIED")]
+                return TrackReport(name, claim, certs, "VERIFIED")
             if is_perfect_square(c) and square_split_inequality(c):
                 certs.append({"kind": "square-split-inequality"})
-                return [TrackReport("f", claim, certs, "VERIFIED")]
+                return TrackReport(name, claim, certs, "VERIFIED")
         except FactorizationBudget:
             pass
         m_bound = stable_iterate_bound(c)
@@ -429,25 +391,49 @@ def _verify_stable(c: int, effort: Effort) -> list[TrackReport]:
         for i in small:
             if is_perfect_square(seq[i - 1]):
                 certs.append({"kind": "counterexample", "index": i})
-                return [TrackReport("f", claim, certs, "FAILED",
-                                    f"a_{i}({c}) is a perfect square")]
+                return TrackReport(name, claim, certs, "FAILED",
+                                   f"a_{i}({c}) is a perfect square")
         certs.append({"kind": "small-index-nonsquare", "indices": small})
         for p in primes_to(m_bound):
             if p < 5:
                 continue
             cert = _prime_fact_cert(c, p, effort)
             if cert is None:
-                return [TrackReport("f", claim, certs, "CONDITIONAL",
-                                    f"prime index {p} unresolved")]
+                return TrackReport(name, claim, certs, "CONDITIONAL",
+                                   f"prime index {p} unresolved")
             if cert["kind"] == "counterexample":
                 certs.append(cert)
-                return [TrackReport("f", claim, certs, "FAILED",
-                                    f"a_{p}({c}) is a perfect square")]
+                return TrackReport(name, claim, certs, "FAILED",
+                                   f"a_{p}({c}) is a perfect square")
             certs.append(cert)
         certs.append({"kind": "rigid-divisibility", "through": "composite-indices"})
-        return [TrackReport("f", claim, certs, "VERIFIED")]
-    return [TrackReport("f", claim, certs, "CONDITIONAL",
-                        "no stable-case route applied")]
+        return TrackReport(name, claim, certs, "VERIFIED")
+    return TrackReport(name, claim, certs, "CONDITIONAL",
+                       "no stable-case route applied")
+
+
+# The paper's case table: for each case, every track of its report in order,
+# with the builder whose argument proves it.
+_TRACKS: dict[CaseId, tuple[tuple[str, Callable[..., TrackReport]], ...]] = {
+    CaseId.SPLIT_BASE: (
+        ("f", _pattern_track), ("g1", _linear_track(1)), ("g2", _g2_track)),
+    CaseId.SPLIT_DEEP_M4: (
+        ("f", _pattern_track), ("g1", _linear_track(1)), ("g2", _g2_sign_track),
+        ("g21", _sieve_after_discriminant), ("g22", _sieve_after_discriminant)),
+    CaseId.SPLIT_SQUARE_S: (
+        ("f", _pattern_track), ("h1", _linear_track(1)), ("h2", _sieve_after_obstruction),
+        ("g2", _g2_track)),
+    CaseId.SPLIT_SPECIAL_S: (
+        ("f", _pattern_track), ("h11", _linear_track(2)), ("h12", _sieve_after_obstruction),
+        ("h2", _sieve_after_obstruction), ("g2", _g2_track)),
+    CaseId.QUARTIC_FORM: (
+        ("f^2", _pattern_track), ("q1", _sieve_after_discriminant),
+        ("q2", _sieve_after_discriminant)),
+    CaseId.QUARTIC_FORM_M2: (
+        ("f^2", _pattern_track), ("q1", _sieve_after_discriminant),
+        ("v1", _sieve_after_discriminant), ("v2", _sieve_after_discriminant)),
+    CaseId.STABLE: (("f", _stable_track),),
+}
 
 
 def _is_prime_small(n: int) -> bool:
@@ -459,12 +445,10 @@ def _is_prime_small(n: int) -> bool:
 def verify_classification(c: int, effort: Effort | None = None) -> VerificationReport:
     effort = effort if effort is not None else Effort()
     verdict = detect_case(c)
-    if verdict.case_id is CaseId.STABLE:
-        tracks = _verify_stable(c, effort)
-    elif verdict.case_id in (CaseId.QUARTIC_FORM, CaseId.QUARTIC_FORM_M2):
-        tracks = _verify_quartic_form(c, verdict, effort)
-    else:
-        tracks = _verify_split_negative_square(c, verdict, effort)
+    factors = {} if verdict.case_id is CaseId.STABLE else {g.name: g for g in build_pattern(c)}
+    tracks = []   # a loop, not a comprehension: this runs once per c of a range
+    for name, build in _TRACKS[verdict.case_id]:
+        tracks.append(build(c, verdict, factors, name, effort))
     return VerificationReport(c, verdict, factor_count_profile(verdict),
                               tracks, _combine(tracks))
 
@@ -522,18 +506,26 @@ def recheck_report(report: VerificationReport) -> None:
     verdict = detect_case(c)
     if verdict != report.verdict:
         raise AssertionError("case verdict mismatch")
-    for track in report.tracks:
+    rows = _TRACKS[verdict.case_id]
+    if len(report.tracks) != len(rows):
+        raise AssertionError("tracks differ from the case table")
+    for track, (name, _) in zip(report.tracks, rows):
+        if track.factor != name:
+            raise AssertionError("tracks differ from the case table")
         if track.status != "VERIFIED":
             continue
         for cert in track.certificates:
-            _recheck_cert(c, verdict, cert)
+            try:
+                _recheck_cert(c, verdict, cert)
+            except KeyError as exc:
+                raise AssertionError(f"certificate lacks field {exc}: {cert}") from exc
 
 
 def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:
     kind = cert["kind"]
     ok = True
     if kind == "case-detection":
-        ok = int(verdict.case_id) == cert["case"] if "case" in cert else True
+        ok = cert["case"] == int(verdict.case_id)
     elif kind == "factor-pattern":
         ok = sorted(g.name for g in build_pattern(c)) == cert["names"]
     elif kind == "negative-orbit":
@@ -541,16 +533,14 @@ def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:
     elif kind == "odd-two-adic":
         ok = c > 0 and c % 2 == 1
     elif kind == "exact-nonsquare":
-        v = _parse_frac(cert["value"])
-        ok = not (v >= 0 and is_perfect_square(v.numerator)
-                  and is_perfect_square(v.denominator))
-        if ok and cert["target"] not in ("a_n", "m-1") and cert["index"] >= 1:
-            g = _factor_by_name(c, cert["target"])
-            ok = obstruction(g, c, cert["index"]).value == v
-        elif ok and cert["target"] == "a_n":
-            ok = v == c + 1 and cert["index"] == 2
-        elif ok and cert["target"] == "m-1":
-            ok = verdict.m is not None and v == verdict.m - 1
+        v, target, n = _parse_frac(cert["value"]), cert["target"], cert["index"]
+        if target == "a_n":
+            ok = v == c + 1 and n == 2
+        elif target == "m-1":
+            ok = verdict.m is not None and v == verdict.m - 1 and n == 0
+        else:
+            ok = n >= 1 and obstruction(_factor_by_name(c, target), c, n).value == v
+        ok = ok and not is_rational_square(v)
     elif kind == "negative-obstruction":
         g = _factor_by_name(c, cert["target"])
         val = obstruction(g, c, cert["index"]).value
@@ -564,11 +554,9 @@ def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:
         for n in range(max(2, cert["from_index"]), cert["from_index"] + 3):
             ok = ok and obstruction(g, c, n).value < 0
     elif kind == "negative-discriminant":
-        g = _factor_by_name(c, cert["factor"])
-        ok = g.coeffs[1] ** 2 - 4 * g.coeffs[0] == _parse_frac(cert["value"]) \
-            and _parse_frac(cert["value"]) < 0
+        g, v = _factor_by_name(c, cert["factor"]), _parse_frac(cert["value"])
+        ok = v < 0 and g.coeffs[1] ** 2 - 4 * g.coeffs[0] == v
     elif kind == "sieve":
-        from .sieve import SieveCertificate
         sc = SieveCertificate(cert["p"], cert["start"], cert["cycle_kind"],
                               tuple(cert["values"]), cert["target"])
         label = cert["target"].split("(")[0]
@@ -596,7 +584,8 @@ def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:
     elif kind == "table-congruence":
         k, r = cert["modulus"], cert["residue"]
         ok = c % k == r and r in _static_table().rows.get(k, ()) \
-            and verify_row_coverage(k, r) is not None \
+            and cert["coverage"] is not None \
+            and verify_row_coverage(k, r) == cert["coverage"] \
             and not is_perfect_square(c + 1)
     elif kind == "rigid-divisibility":
         ok = True  # structural; premises carried by sibling certificates

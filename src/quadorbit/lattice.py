@@ -51,28 +51,6 @@ def _delta2(ctx, N: int):
     return d * d
 
 
-@dataclass(frozen=True)
-class FixedPointReal:
-    """A dyadic approximation mantissa * 2^-scale_bits with error <= 1 ulp."""
-    mantissa: int
-    scale_bits: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.mantissa, 1 << self.scale_bits)
-
-    @property
-    def error_bound(self) -> Fraction:
-        return Fraction(1, 1 << self.scale_bits)
-
-
-def nth_root_of_two_fixed(N: int, bits: int) -> FixedPointReal:
-    """2^(1/N) in fixed point, certified to within one unit in the last place."""
-    mant = rounding.nearest_int(lambda ctx: _theta(ctx, N) * (1 << bits),
-                                bits + 64)
-    return FixedPointReal(mant, bits)
-
-
 # --- exact 2D closest-vector enumeration ------------------------------------
 
 def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int]):
@@ -182,6 +160,10 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
 
 # --- escalation passes ------------------------------------------------------
 
+MAX_DOUBLINGS = 64    # gamma doublings per pass
+MAX_PASSES = 200      # escalation passes per divisor bound
+
+
 @dataclass(frozen=True)
 class LatticeAttempt:
     doublings: int
@@ -262,15 +244,14 @@ def _largest_nonpositive(x6: int, sigma: int, d_const: int, b0: int) -> int:
     return x
 
 
-def escalation_pass(n: int, b0: int, bits: int | None = None,
-                    start_doublings: int = 0, max_doublings: int = 64) -> EscalationTrace:
+def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace:
     """One pass of the escalation loop: bound b0 in, much larger bound out.
 
     Builds the scaled integer lattice at > 8 log2(b0) bits, finds the four
     closest points to the target, converts them into a certified distance
     lower bound sigma, and extracts the new bound from the nonpositive
     window of h(x) = x6 * x^6 - sigma * x^4 + d.  Doubles the lattice scale
-    gamma until h(b0) < 0.
+    gamma until h(b0) < 0, at most MAX_DOUBLINGS times.
     """
     N = (1 << (n - 1)) - 1
     if N < 15:
@@ -282,8 +263,7 @@ def escalation_pass(n: int, b0: int, bits: int | None = None,
     tgt = rounding.nearest_int(lambda ctx: 2 * _theta(ctx, N) * b0_8 / N, bits)
     d_const = rounding.ceil_int(lambda ctx: _delta2(ctx, N) * b0_8 * b0_8, bits)
     attempts: list[LatticeAttempt] = []
-    doublings = start_doublings
-    while doublings <= max_doublings:
+    for doublings in range(MAX_DOUBLINGS + 1):
         mult = 1 << doublings
         scale_a = rounding.nearest_int(
             lambda ctx: _delta2(ctx, N) * mult * b0_4, bits)
@@ -308,8 +288,7 @@ def escalation_pass(n: int, b0: int, bits: int | None = None,
                 raise EscalationStuck(f"no progress from bound {b0}")
             return EscalationTrace(n, N, b0, bits, d_const, x6,
                                    tuple(attempts), b0_out)
-        doublings += 1
-    raise EscalationStuck(f"gamma doubled {max_doublings} times without h({b0}) < 0")
+    raise EscalationStuck(f"gamma doubled {MAX_DOUBLINGS} times without h({b0}) < 0")
 
 
 @dataclass(frozen=True)
@@ -338,7 +317,7 @@ def c_exclusion_bound(n: int, B: int, bits: int = 256) -> int:
     return rounding.floor_of_lower(build, max(bits, 2 * B.bit_length() + 64))
 
 
-def required_divisor_bound(n: int, x_bound: int, bits: int = 256) -> int:
+def required_divisor_bound(n: int, x_bound: int) -> int:
     """Smallest B whose exclusion bound certifies c > x_bound."""
     N = (1 << (n - 1)) - 1
 
@@ -346,22 +325,21 @@ def required_divisor_bound(n: int, x_bound: int, bits: int = 256) -> int:
         fac = _theta2(ctx, N) * ctx.exp(ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N)
         return ctx.sqrt(ctx.mpf(x_bound) / fac)
 
-    work = max(bits, x_bound.bit_length() + 64)
+    work = max(256, x_bound.bit_length() + 64)
     B = rounding.floor_of_upper(build, work) + 1
     while c_exclusion_bound(n, B, work) < x_bound:
         B += 1
     return B
 
 
-def prove_divisor_bound(n: int, target_bound: int,
-                        max_passes: int = 200) -> DivisorBoundCertificate:
+def prove_divisor_bound(n: int, target_bound: int) -> DivisorBoundCertificate:
     """Escalate from the initial bound until it exceeds the target."""
     b0 = initial_divisor_bound(n)
     initial = b0
     traces: list[EscalationTrace] = []
     while b0 <= target_bound:
-        if len(traces) >= max_passes:
-            raise EscalationStuck(f"{max_passes} passes without reaching the target")
+        if len(traces) >= MAX_PASSES:
+            raise EscalationStuck(f"{MAX_PASSES} passes without reaching the target")
         tr = escalation_pass(n, b0)
         traces.append(tr)
         b0 = tr.b0_out

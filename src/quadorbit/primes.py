@@ -80,10 +80,14 @@ def _pollard_rho(n: int, seed: int, budget: int) -> int | None:
     return d if 1 < d < n else None
 
 
-def factorize(n: int, trial_limit: int = 10 ** 6, rho_budget: int = 1 << 22) -> dict[int, int]:
+TRIAL_LIMIT = 10 ** 6
+RHO_BUDGET = 1 << 22    # Pollard rho steps per seed
+
+
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: exponent}.
 
-    Trial division up to trial_limit, then deterministic-seeded Pollard rho
+    Trial division up to TRIAL_LIMIT, then deterministic-seeded Pollard rho
     with a step budget; raises FactorizationBudget rather than stalling.
     """
     n = abs(n)
@@ -97,7 +101,7 @@ def factorize(n: int, trial_limit: int = 10 ** 6, rho_budget: int = 1 << 22) -> 
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= trial_limit:
+    while d * d <= n and d <= TRIAL_LIMIT:
         while n % d == 0:
             fac[d] = fac.get(d, 0) + 1
             n //= d
@@ -115,7 +119,7 @@ def factorize(n: int, trial_limit: int = 10 ** 6, rho_budget: int = 1 << 22) -> 
             continue
         f = None
         for seed in range(2, 12):
-            f = _pollard_rho(m, seed, rho_budget)
+            f = _pollard_rho(m, seed, RHO_BUDGET)
             if f:
                 break
         if not f:

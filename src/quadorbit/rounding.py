@@ -64,7 +64,7 @@ def _refine(build: Builder, pick, bits: int | None, max_bits: int, settle=None):
     raise PrecisionExhausted(f"undecided at {max_bits} bits")
 
 
-def nearest_int(build: Builder, bits: int | None = None, max_bits: int = MAX_BITS) -> int:
+def nearest_int(build: Builder, bits: int | None = None) -> int:
     """Half-up nearest integer of the exact value: floor(x + 1/2)."""
     half = Fraction(1, 2)
 
@@ -72,15 +72,15 @@ def nearest_int(build: Builder, bits: int | None = None, max_bits: int = MAX_BIT
         a, b = math.floor(lo + half), math.floor(hi + half)
         return a if a == b else None
 
-    return _refine(build, pick, bits, max_bits)
+    return _refine(build, pick, bits, MAX_BITS)
 
 
-def ceil_int(build: Builder, bits: int | None = None, max_bits: int = MAX_BITS) -> int:
+def ceil_int(build: Builder, bits: int | None = None) -> int:
     def pick(lo, hi):
         a, b = math.ceil(lo), math.ceil(hi)
         return a if a == b else None
 
-    return _refine(build, pick, bits, max_bits)
+    return _refine(build, pick, bits, MAX_BITS)
 
 
 def _same_floor(lo, hi):

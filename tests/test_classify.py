@@ -4,8 +4,9 @@ import math
 import pytest
 import sympy
 
-from quadorbit.classify import (CaseId, Effort, detect_case, factor_count_profile,
-                                recheck_report, report_to_json,
+from quadorbit import sieve
+from quadorbit.classify import (PINNED_SIEVE_PRIMES, CaseId, Effort, detect_case,
+                                factor_count_profile, recheck_report, report_to_json,
                                 verify_classification, verify_range)
 from quadorbit.factors import f_coeffs, poly_compose
 from quadorbit.orbit import is_perfect_square
@@ -170,3 +171,120 @@ def test_recheck_detects_tampering():
                     recheck_report(rep)
                 return
     raise AssertionError("no sieve certificate found")
+
+
+_FOR_ALL = "{}(f^n(x)) irreducible for all n"
+_PATTERN = "factor pattern product identities"
+
+
+@pytest.mark.parametrize("c, tracks", [
+    (-25, [("f", _PATTERN, "factor-pattern"), ("g1", _FOR_ALL.format("g1"), "exact-nonsquare"),
+           ("g2", _FOR_ALL.format("g2"), "negative-obstruction")]),
+    (-16, [("f", _PATTERN, "factor-pattern"), ("g1", _FOR_ALL.format("g1"), "exact-nonsquare"),
+           ("g2", "g2(f(x)) irreducible", "negative-obstruction"),
+           ("g21", _FOR_ALL.format("g21"), "negative-discriminant"),
+           ("g22", _FOR_ALL.format("g22"), "negative-discriminant")]),
+    (-9, [("f", _PATTERN, "factor-pattern"), ("h1", _FOR_ALL.format("h1"), "exact-nonsquare"),
+          ("h2", _FOR_ALL.format("h2"), "negative-obstruction"),
+          ("g2", _FOR_ALL.format("g2"), "negative-obstruction")]),
+    (-64, [("f", _PATTERN, "factor-pattern"), ("h11", _FOR_ALL.format("h11"), "exact-nonsquare"),
+           ("h12", _FOR_ALL.format("h12"), "negative-obstruction"),
+           ("h2", _FOR_ALL.format("h2"), "negative-obstruction"),
+           ("g2", _FOR_ALL.format("g2"), "negative-obstruction")]),
+    (288, [("f^2", _PATTERN, "factor-pattern"),
+           ("q1", _FOR_ALL.format("q1"), "negative-discriminant"),
+           ("q2", _FOR_ALL.format("q2"), "negative-discriminant")]),
+    (48, [("f^2", _PATTERN, "factor-pattern"),
+          ("q1", _FOR_ALL.format("q1"), "negative-discriminant"),
+          ("v1", _FOR_ALL.format("v1"), "negative-discriminant"),
+          ("v2", _FOR_ALL.format("v2"), "negative-discriminant")]),
+    (5, [("f", "f^n(x) irreducible for all n", "case-detection")]),
+])
+def test_track_order_and_claims_per_case(c, tracks):
+    rep = verify_classification(c)
+    assert [(t.factor, t.claim, t.certificates[0]["kind"]) for t in rep.tracks] == tracks
+    assert rep.verified
+
+
+def test_remaining_pins_differ_from_the_search(monkeypatch):
+    assert len(PINNED_SIEVE_PRIMES) == 2
+    for (c, name), pin in list(PINNED_SIEVE_PRIMES.items()):
+        def sieve_prime():
+            track = {t.factor: t for t in verify_classification(c).tracks}[name]
+            return [k["p"] for k in track.certificates if k["kind"] == "sieve"][0]
+
+        assert sieve_prime() == pin
+        with monkeypatch.context() as mp:
+            mp.delitem(PINNED_SIEVE_PRIMES, (c, name))
+            assert sieve_prime() != pin, (c, name)
+
+
+@pytest.mark.parametrize("m, p, needs_m1", [(430, 431, False), (690, 691, True),
+                                             (17097, 103, False)])
+def test_g2_neg_one_prime_classes(m, p, needs_m1):
+    # no list rule verifies for these m; a prime 7 (mod 8) dividing m+1 proves
+    # g2 outright, a prime 3 (mod 8) together with m-1 non-square.  The first
+    # class wins even over a smaller prime of the second (17098 = 2 * 83 * 103).
+    rep = verify_classification(-m * m)
+    assert rep.verified
+    chain = {t.factor: t for t in rep.tracks}["g2"].certificates
+    assert chain[1] == {"kind": "m-neg-one-prime", "p": p, "mod8": p % 8}
+    m1 = [k for k in chain if k.get("target") == "m-1"]
+    assert (m1 == [{"kind": "exact-nonsquare", "target": "m-1", "index": 0,
+                    "value": f"{m - 1}/1"}]) == needs_m1
+    assert ({"kind": "rigid-divisibility", "through": "w2"} in chain) == needs_m1
+    recheck_report(rep)
+
+
+def _cert(rep, kind):
+    return next(k for t in rep.tracks for k in t.certificates if k["kind"] == kind)
+
+
+def test_g2_list_rule_leaves_m_plus_1_unfactored(monkeypatch):
+    # m = 5 matches the list rule 5 (mod 7), so the prime rules, which need
+    # the factors of m+1, are never reached
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(sieve, "factorize", no_factorize)
+    rep = verify_classification(-25)
+    assert rep.verified
+    assert _cert(rep, "m-congruence")["modulus"] == 7
+
+
+def test_recheck_rejects_bogus_table_coverage():
+    rep = verify_classification(4)
+    _cert(rep, "table-congruence")["coverage"] = "bogus"
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_case_detection_without_case():
+    rep = verify_classification(48)
+    del _cert(rep, "case-detection")["case"]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_factor_nonsquare_at_index_zero():
+    rep = verify_classification(-25)
+    cert = _cert(rep, "exact-nonsquare")
+    assert cert["target"] == "g1"
+    cert.update(index=0, value="2/1")
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_missing_field_as_assertion():
+    rep = verify_classification(-16)
+    del _cert(rep, "sieve")["p"]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+@pytest.mark.parametrize("c, factor", [(-16, "g22"), (-64, "h12"), (5, "f")])
+def test_recheck_rejects_missing_track(c, factor):
+    rep = verify_classification(c)
+    rep.tracks = [t for t in rep.tracks if t.factor != factor]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)

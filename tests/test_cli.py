@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,3 +117,23 @@ def test_json_outputs_validate_against_schemas(capsys):
     assert main(["stab-verify", "--x", "1e9", "--json"]) == 0
     cert = json.loads(capsys.readouterr().out)
     jsonschema.validate(cert, load("stab_certificate.schema.json"))
+
+
+def test_golden_output_digests(capsys):
+    # byte identity of emitted certificates: a change to any of these digests
+    # changes certificate content and must be declared
+    def digest(argv, drop_elapsed=False):
+        main(argv)
+        out = capsys.readouterr().out
+        if drop_elapsed:
+            payload = json.loads(out)
+            del payload["elapsed_seconds"]
+            out = json.dumps(payload) + "\n"
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    assert digest(["classify", "--range=-500..500", "--json"]) == \
+        "2b97cb1defaf540bbf0bc95a671d698b8399b9f52f08ec0c8898ca1c8f8c5b44"
+    assert digest(["table1", "--regen"]) == \
+        "0e8b938e045d9cb1c34a29d6878c72f4be84f849fcd9eb0eae797f5178ca46fe"
+    assert digest(["stab-verify", "--x", "1e60", "--emit-trace", "--json"], True) == \
+        "d77bfca63cedc0c7b3fe6bcc6432a2431c4ba15eb3dc3871699c49120721b32c"

@@ -5,22 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from quadorbit import rounding
+from quadorbit import lattice, rounding
 from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                TraceError, c_exclusion_bound, check_divisor_certificate,
                                check_stab_certificate, check_trace, closest_points,
-                               escalation_pass, lagrange_reduce,
-                               nth_root_of_two_fixed, prove_divisor_bound,
+                               escalation_pass, lagrange_reduce, prove_divisor_bound,
                                required_divisor_bound, stab_entry_for_prime,
                                verify_no_squares_up_to)
 from quadorbit.sieve import NumeratorTarget, verify_sieve_certificate
 
 
 def test_fixed_point_root():
-    fp = nth_root_of_two_fixed(15, 64)
-    val = fp.value
-    # theta^N brackets 2 within the certified error
-    assert (val - fp.error_bound) ** 15 < 2 < (val + fp.error_bound) ** 15
+    # 2^(1/15) rounded to 64 fractional bits: theta^N brackets 2 within one ulp
+    val = Fraction(rounding.nearest_int(lambda ctx: lattice._theta(ctx, 15) * 2 ** 64), 2 ** 64)
+    ulp = Fraction(1, 2 ** 64)
+    assert (val - ulp) ** 15 < 2 < (val + ulp) ** 15
     # scaled roundings match the recorded basis/target integers
     t2 = rounding.nearest_int(
         lambda ctx: ctx.exp(ctx.log(ctx.mpf(2)) * 2 / 15) * 8 ** 8)
