@@ -142,11 +142,15 @@ class VerificationReport:
 
 
 def _combine(tracks: list[TrackReport]) -> str:
-    if any(t.status == "FAILED" for t in tracks):
-        return "FAILED"
-    if any(t.status == "CONDITIONAL" for t in tracks):
-        return "CONDITIONAL"
-    return "VERIFIED"
+    # a plain loop: recheck_report runs this once per c, and generators
+    # inside any() cost more than the one track most c carry
+    status = "VERIFIED"
+    for t in tracks:
+        if t.status == "FAILED":
+            return "FAILED"
+        if t.status == "CONDITIONAL":
+            status = "CONDITIONAL"
+    return status
 
 
 def _frac(x: Fraction) -> str:
@@ -500,8 +504,18 @@ def _target_by_label(c: int, label: str):
     return FactorTarget(_factor_by_name(c, label))
 
 
+# What a certificate field of the wrong type or form raises on its way
+# through _recheck_cert (a missing field raises KeyError).
+_MALFORMED = (AttributeError, IndexError, TypeError, ValueError, ZeroDivisionError)
+
+
 def recheck_report(report: VerificationReport) -> None:
-    """Re-verify every certificate in the report; raises AssertionError."""
+    """Re-verify every certificate in the report; raises AssertionError.
+
+    The report's status must be the one its track statuses combine to, so
+    a track that is not VERIFIED cannot hide behind a VERIFIED report.  A
+    missing or malformed certificate field is a rejection, not a crash.
+    """
     c = report.c
     verdict = detect_case(c)
     if verdict != report.verdict:
@@ -509,6 +523,8 @@ def recheck_report(report: VerificationReport) -> None:
     rows = _TRACKS[verdict.case_id]
     if len(report.tracks) != len(rows):
         raise AssertionError("tracks differ from the case table")
+    if report.status != _combine(report.tracks):
+        raise AssertionError("report status disagrees with its tracks")
     for track, (name, _) in zip(report.tracks, rows):
         if track.factor != name:
             raise AssertionError("tracks differ from the case table")
@@ -519,6 +535,8 @@ def recheck_report(report: VerificationReport) -> None:
                 _recheck_cert(c, verdict, cert)
             except KeyError as exc:
                 raise AssertionError(f"certificate lacks field {exc}: {cert}") from exc
+            except _MALFORMED as exc:
+                raise AssertionError(f"malformed certificate ({exc!r}): {cert}") from exc
 
 
 def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:

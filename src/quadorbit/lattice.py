@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import rounding
 from .primes import primes_to
@@ -54,27 +53,30 @@ def _delta2(ctx, N: int):
 # --- exact 2D closest-vector enumeration ------------------------------------
 
 def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int]):
-    """Greedy reduction of a 2D integer basis, tracking the unimodular map.
+    """Greedy (Lagrange-Gauss) reduction of a 2D integer basis, tracking the
+    unimodular map.
 
     Returns (r1, r2, t1, t2) with r1, r2 the reduced basis and t1, t2 their
-    coefficient rows over the original basis.
+    coefficient rows over the original basis.  The Gram entries |b1|^2,
+    |b2|^2 and <b1, b2> are carried through each step b2 -= m b1
+    (|b2|^2 -= 2 m <b1, b2> - m^2 |b1|^2, <b1, b2> -= m |b1|^2) rather than
+    recomputed, so a step costs products by the small quotient m only.
     """
     t1, t2 = (1, 0), (0, 1)
-
-    def n2(v):
-        return v[0] * v[0] + v[1] * v[1]
-
-    if n2(b1) > n2(b2):
-        b1, b2, t1, t2 = b2, b1, t2, t1
+    n1 = b1[0] * b1[0] + b1[1] * b1[1]
+    n2 = b2[0] * b2[0] + b2[1] * b2[1]
+    dot = b1[0] * b2[0] + b1[1] * b2[1]
+    if n1 > n2:
+        b1, b2, t1, t2, n1, n2 = b2, b1, t2, t1, n2, n1
     while True:
-        d = n2(b1)
-        mu2 = b1[0] * b2[0] + b1[1] * b2[1]
-        m = (2 * mu2 + d) // (2 * d)  # nearest integer of mu2/d
+        m = (2 * dot + n1) // (2 * n1)  # nearest integer of dot/n1
         b2 = (b2[0] - m * b1[0], b2[1] - m * b1[1])
         t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
-        if n2(b2) >= n2(b1):
+        n2 += m * (m * n1 - 2 * dot)
+        dot -= m * n1
+        if n2 >= n1:
             return b1, b2, t1, t2
-        b1, b2, t1, t2 = b2, b1, t2, t1
+        b1, b2, t1, t2, n1, n2 = b2, b1, t2, t1, n2, n1
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,12 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
                    target: tuple[int, int], k: int = 4) -> list[LatticePoint]:
     """The k nearest lattice points to the target, exactly.
 
-    Reduce, then enumerate coefficient boxes around the rational coordinates
-    of the target (Fincke-Pohst in dimension 2); ties break by coefficient
-    order over the original basis.  Pure integer/rational arithmetic.
+    Reduce, then enumerate coefficient boxes around the coordinates of the
+    target (Fincke-Pohst in dimension 2); ties break by coefficient order
+    over the original basis.  Integer arithmetic only: with D = |det| and
+    n1 = |r1|^2 of the reduced basis, the target's coordinates are x1/D and
+    x2/D, the gap of row j is e^2 / n1 with e = j D - x2, and each rational
+    comparison is made by cross-multiplying with these positive denominators.
     """
     (b1, b2), t = basis, target
     det = b1[0] * b2[1] - b1[1] * b2[0]
@@ -98,12 +103,14 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
         raise ValueError("basis is singular")
     r1, r2, t1, t2 = lagrange_reduce(b1, b2)
     n1 = r1[0] * r1[0] + r1[1] * r1[1]
-    mu = Fraction(r1[0] * r2[0] + r1[1] * r2[1], n1)
-    # squared length of the component of r2 orthogonal to r1
-    n2s = Fraction(r2[0] * r2[0] + r2[1] * r2[1]) - mu * mu * n1
+    dot = r1[0] * r2[0] + r1[1] * r2[1]
     rdet = r1[0] * r2[1] - r1[1] * r2[0]
-    a1 = Fraction(t[0] * r2[1] - t[1] * r2[0], rdet)
-    a2 = Fraction(r1[0] * t[1] - r1[1] * t[0], rdet)
+    sgn = 1 if rdet > 0 else -1
+    D = sgn * rdet
+    x1 = sgn * (t[0] * r2[1] - t[1] * r2[0])
+    x2 = sgn * (r1[0] * t[1] - r1[1] * t[0])
+    D2 = D * D
+    Dn1 = D * n1
 
     found: dict[tuple[int, int], int] = {}
 
@@ -120,28 +127,28 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
             return None
         return sorted(found.values())[k - 1]
 
-    half = Fraction(1, 2)
-    j0 = math.floor(a2 + half)
+    j0 = (2 * x2 + D) // (2 * D)
     dj = 0
     while True:
         js = [j0 + dj, j0 - dj] if dj else [j0]
         mins = []
         for j in js:
-            jgap2 = (Fraction(j) - a2) ** 2 * n2s
-            mins.append(jgap2)
+            e = j * D - x2
+            e2 = e * e               # row j lies e2 / n1 from the target
+            mins.append(e2)
             R = kth_best()
-            if R is not None and jgap2 > R:
+            if R is not None and e2 > R * n1:
                 continue
-            center = a1 - mu * (Fraction(j) - a2)
-            i0 = math.floor(center + half)
+            cn = x1 * n1 - dot * e   # centre of row j: cn / (D n1)
+            i0 = (2 * cn + Dn1) // (2 * Dn1)
+            jgap = D2 * e2
             di = 0
             while True:
                 is_ = [i0 + di, i0 - di] if di else [i0]
                 progressed = False
                 for i in is_:
-                    igap2 = (Fraction(i) - center) ** 2 * n1
                     R = kth_best()
-                    if R is not None and igap2 + jgap2 > R:
+                    if R is not None and (i * Dn1 - cn) ** 2 + jgap > R * D2 * n1:
                         continue
                     consider(i, j)
                     progressed = True
@@ -149,7 +156,7 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
                     break
                 di += 1
         R = kth_best()
-        if R is not None and mins and min(mins) > R and dj > 0:
+        if R is not None and mins and min(mins) > R * n1 and dj > 0:
             break
         dj += 1
     ranked = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
@@ -189,6 +196,13 @@ class EscalationTrace:
     @property
     def final(self) -> LatticeAttempt:
         return self.attempts[-1]
+
+
+def _theta_roundings(N: int, b0_8: int, bits: int) -> tuple[int, int]:
+    """(round(theta^2 B0^8), round(2 theta B0^8 / N)) from one new enclosure
+    of theta / N, scaled exactly by N^2 B0^8 (squared) and by 2 B0^8."""
+    theta_n = rounding.Enclosure(lambda ctx: _theta(ctx, N) / N, bits)
+    return theta_n.nearest(N * N * b0_8, power=2), theta_n.nearest(2 * b0_8)
 
 
 def _adjusted_sigma(points, scale_a: int, t2: int, b0_8: int, tgt: int) -> int:
@@ -259,21 +273,21 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     bits = bits or (8 * b0.bit_length() + 64)
     b0_4 = b0 ** 4
     b0_8 = b0_4 * b0_4
-    t2 = rounding.nearest_int(lambda ctx: _theta2(ctx, N) * b0_8, bits)
-    tgt = rounding.nearest_int(lambda ctx: 2 * _theta(ctx, N) * b0_8 / N, bits)
-    d_const = rounding.ceil_int(lambda ctx: _delta2(ctx, N) * b0_8 * b0_8, bits)
+    t2, tgt = _theta_roundings(N, b0_8, bits)
+    # One delta^2 enclosure serves d and every doubling.  d = delta^2 B0^16
+    # carries twice the bits of B0^8, so the enclosure starts at twice the
+    # working precision, the precision d would otherwise refine to.
+    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N), 2 * bits)
+    d_const = delta2.ceil(b0_8 * b0_8)
     attempts: list[LatticeAttempt] = []
     for doublings in range(MAX_DOUBLINGS + 1):
         mult = 1 << doublings
-        scale_a = rounding.nearest_int(
-            lambda ctx: _delta2(ctx, N) * mult * b0_4, bits)
+        scale_a = delta2.nearest(mult * b0_4)
         if scale_a <= 0:
             raise rounding.PrecisionExhausted("degenerate lattice scale")
         # x^6 coefficient must dominate (gamma B0^4)^2 for soundness; take the
         # larger of the rounded square and a certified ceiling of the square.
-        x6 = max(scale_a * scale_a,
-                 rounding.ceil_int(lambda ctx: (_delta2(ctx, N) * mult * b0_4) ** 2,
-                                   bits))
+        x6 = max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
         basis = ((scale_a, t2), (0, -b0_8))
         pts = closest_points(basis, (0, tgt), 4)
         coeffs = tuple(p.coeffs for p in pts)
@@ -352,10 +366,14 @@ def prove_divisor_bound(n: int, target_bound: int) -> DivisorBoundCertificate:
 def check_trace(trace: EscalationTrace) -> None:
     """Re-verify one trace from its stored integers alone.
 
-    Recomputes every rounded constant at doubled precision (half-up and
-    ceiling values are precision-independent, so exact equality is the
-    test), recomputes sigma from the stored points, and re-derives the
-    outgoing bound from the h-window.  Raises TraceError on any mismatch.
+    Encloses each constant (theta / N and delta^2) once, at twice the
+    producer's precision, refining only when a rounding is undecided, and
+    scales the enclosures exactly to re-derive theta^2 B0^8, the target, the
+    lattice scale, d and the x^6 floor.  Half-up and ceiling values are
+    precision-independent, so exact equality with the stored integers is the
+    test.  Recomputes sigma from the stored points and re-derives the
+    outgoing bound from the h-window.  Shares nothing with the producer.
+    Raises TraceError on any mismatch.
     """
     N = (1 << (trace.n - 1)) - 1
     if N != trace.N:
@@ -368,20 +386,18 @@ def check_trace(trace: EscalationTrace) -> None:
     if z != 0 or neg != -b0_8 or scale_a != fin.scale_a:
         raise TraceError("basis shape mismatch")
     tgt = fin.target[1]
-    if t2 != rounding.nearest_int(lambda ctx: _theta2(ctx, N) * b0_8, bits2):
+    t2_need, tgt_need = _theta_roundings(N, b0_8, bits2)
+    if t2 != t2_need:
         raise TraceError("theta^2 B0^8 rounding claim fails")
-    if tgt != rounding.nearest_int(lambda ctx: 2 * _theta(ctx, N) * b0_8 / N, bits2):
+    if tgt != tgt_need:
         raise TraceError("target rounding claim fails")
     mult = 1 << fin.doublings
-    if scale_a != rounding.nearest_int(lambda ctx: _delta2(ctx, N) * mult * b0_4,
-                                       bits2):
+    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N), bits2)
+    if scale_a != delta2.nearest(mult * b0_4):
         raise TraceError("gamma B0^4 rounding claim fails")
-    if trace.d_const != rounding.ceil_int(lambda ctx: _delta2(ctx, N) * b0_8 * b0_8,
-                                          bits2):
+    if trace.d_const != delta2.ceil(b0_8 * b0_8):
         raise TraceError("d constant is not the ceiling of delta^2 B0^16")
-    x6_need = max(scale_a * scale_a,
-                  rounding.ceil_int(lambda ctx: (_delta2(ctx, N) * mult * b0_4) ** 2,
-                                    bits2))
+    x6_need = max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
     if trace.x6_coeff < x6_need:
         raise TraceError("x^6 coefficient below (gamma B0^4)^2")
     sigma = _adjusted_sigma(fin.points, scale_a, t2, b0_8, tgt)

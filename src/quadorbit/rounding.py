@@ -30,14 +30,19 @@ def iv_context(bits: int) -> MPIntervalContext:
     return ctx
 
 
-def _mpf_to_fraction(raw) -> Fraction:
+def _dyadic(raw) -> tuple[int, int]:
+    """An mpf endpoint as (num, exp) with value num * 2^exp."""
     sign, man, exp, _bc = raw
     if man == 0:
         if exp == 0:
-            return Fraction(0)
+            return 0, 0
         raise PrecisionExhausted("non-finite interval endpoint")
-    f = Fraction(int(man)) * Fraction(2) ** exp
-    return -f if sign else f
+    return (-int(man) if sign else int(man)), exp
+
+
+def _mpf_to_fraction(raw) -> Fraction:
+    num, exp = _dyadic(raw)
+    return Fraction(num) * Fraction(2) ** exp
 
 
 def iv_endpoints(x) -> tuple[Fraction, Fraction]:
@@ -106,3 +111,57 @@ def floor_of_lower(build: Builder, bits: int | None = None) -> int:
 
 def interval_fractions(build: Builder, bits: int | None = None) -> tuple[Fraction, Fraction]:
     return iv_endpoints(build(iv_context(bits or DEFAULT_BITS)))
+
+
+def _floor_half_up(num: int, shift: int) -> int:
+    """floor(num / 2^shift + 1/2)."""
+    return (2 * num + (1 << shift)) >> (shift + 1)
+
+
+def _ceil_shifted(num: int, shift: int) -> int:
+    """ceil(num / 2^shift)."""
+    return -((-num) >> shift)
+
+
+class Enclosure:
+    """One certified enclosure lo <= x <= hi of a real x, shared by roundings
+    of the scaled powers x^power * scale with exact integer scales.
+
+    The dyadic endpoints are kept as integers over one power of two, so each
+    rounding is a product and a shift; squaring the enclosure needs lo > 0.
+    A rounding the enclosure cannot decide doubles its precision and rebuilds
+    it, as _refine does, and later roundings reuse the sharper enclosure.
+    Every decided result is the exact rounding of the true value, whatever
+    the precision that decided it.
+    """
+
+    def __init__(self, build: Builder, bits: int):
+        self._build = build
+        self._bits = bits
+        self._enclose()
+
+    def _enclose(self) -> None:
+        if self._bits > MAX_BITS:
+            raise PrecisionExhausted(f"undecided at {MAX_BITS} bits")
+        lo, hi = self._build(iv_context(self._bits))._mpi_
+        (a, ea), (b, eb) = _dyadic(lo), _dyadic(hi)
+        e = min(ea, eb, 0)
+        self._lo, self._hi, self._shift = a << (ea - e), b << (eb - e), -e
+
+    def _decide(self, round_shifted, scale: int, power: int) -> int:
+        while True:
+            lo, hi = self._lo, self._hi
+            if power == 1 or lo > 0:
+                a = round_shifted(lo ** power * scale, power * self._shift)
+                if a == round_shifted(hi ** power * scale, power * self._shift):
+                    return a
+            self._bits *= 2
+            self._enclose()
+
+    def nearest(self, scale: int, power: int = 1) -> int:
+        """Half-up nearest integer of x^power * scale: floor(. + 1/2)."""
+        return self._decide(_floor_half_up, scale, power)
+
+    def ceil(self, scale: int, power: int = 1) -> int:
+        """Ceiling of x^power * scale."""
+        return self._decide(_ceil_shifted, scale, power)

@@ -282,6 +282,23 @@ def test_recheck_rejects_missing_field_as_assertion():
         recheck_report(rep)
 
 
+def test_recheck_rejects_status_that_disagrees_with_tracks():
+    rep = verify_classification(-16)
+    track = next(t for t in rep.tracks if t.factor == "g21")
+    track.status = "CONDITIONAL"
+    next(cert for cert in track.certificates if cert["kind"] == "sieve")["values"] = [1]
+    assert rep.status == "VERIFIED"
+    with pytest.raises(AssertionError, match="status"):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_wrong_typed_field_as_assertion():
+    rep = verify_classification(-25)
+    _cert(rep, "exact-nonsquare")["value"] = 5
+    with pytest.raises(AssertionError, match="malformed"):
+        recheck_report(rep)
+
+
 @pytest.mark.parametrize("c, factor", [(-16, "g22"), (-64, "h12"), (5, "f")])
 def test_recheck_rejects_missing_track(c, factor):
     rep = verify_classification(c)

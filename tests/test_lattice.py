@@ -4,8 +4,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadorbit import lattice, rounding
+from quadorbit import bounds, lattice, rounding
 from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                TraceError, c_exclusion_bound, check_divisor_certificate,
                                check_stab_certificate, check_trace, closest_points,
@@ -35,6 +36,145 @@ def test_lagrange_reduction_tracks_coefficients():
     for r, t in ((r1, t1), (r2, t2)):
         assert r == (t[0] * b1[0] + t[1] * b2[0], t[0] * b1[1] + t[1] * b2[1])
     assert r1[0] ** 2 + r1[1] ** 2 <= r2[0] ** 2 + r2[1] ** 2
+
+
+# --- references: the greedy reduction and rational enumeration the integer
+# versions replaced, kept as the specification they must match exactly ------
+
+def _greedy_reduce(b1, b2):
+    """Lagrange-Gauss reduction recomputing every norm and inner product."""
+    t1, t2 = (1, 0), (0, 1)
+
+    def n2(v):
+        return v[0] * v[0] + v[1] * v[1]
+
+    if n2(b1) > n2(b2):
+        b1, b2, t1, t2 = b2, b1, t2, t1
+    while True:
+        d = n2(b1)
+        mu2 = b1[0] * b2[0] + b1[1] * b2[1]
+        m = (2 * mu2 + d) // (2 * d)
+        b2 = (b2[0] - m * b1[0], b2[1] - m * b1[1])
+        t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
+        if n2(b2) >= n2(b1):
+            return b1, b2, t1, t2
+        b1, b2, t1, t2 = b2, b1, t2, t1
+
+
+def _fraction_closest(basis, target, k=4):
+    """Two-dimensional Fincke-Pohst over Fraction coordinates."""
+    (b1, b2), t = basis, target
+    r1, r2, t1, t2 = _greedy_reduce(b1, b2)
+    n1 = r1[0] * r1[0] + r1[1] * r1[1]
+    mu = Fraction(r1[0] * r2[0] + r1[1] * r2[1], n1)
+    n2s = Fraction(r2[0] * r2[0] + r2[1] * r2[1]) - mu * mu * n1
+    rdet = r1[0] * r2[1] - r1[1] * r2[0]
+    a1 = Fraction(t[0] * r2[1] - t[1] * r2[0], rdet)
+    a2 = Fraction(r1[0] * t[1] - r1[1] * t[0], rdet)
+    found = {}
+
+    def kth_best():
+        return sorted(found.values())[k - 1] if len(found) >= k else None
+
+    half = Fraction(1, 2)
+    j0 = math.floor(a2 + half)
+    dj = 0
+    while True:
+        js = [j0 + dj, j0 - dj] if dj else [j0]
+        mins = []
+        for j in js:
+            jgap2 = (Fraction(j) - a2) ** 2 * n2s
+            mins.append(jgap2)
+            R = kth_best()
+            if R is not None and jgap2 > R:
+                continue
+            center = a1 - mu * (Fraction(j) - a2)
+            i0 = math.floor(center + half)
+            di = 0
+            while True:
+                progressed = False
+                for i in ([i0 + di, i0 - di] if di else [i0]):
+                    R = kth_best()
+                    if R is not None and (Fraction(i) - center) ** 2 * n1 + jgap2 > R:
+                        continue
+                    px, py = i * r1[0] + j * r2[0], i * r1[1] + j * r2[1]
+                    found[(i * t1[0] + j * t2[0], i * t1[1] + j * t2[1])] = \
+                        (px - t[0]) ** 2 + (py - t[1]) ** 2
+                    progressed = True
+                if not progressed and di > 0:
+                    break
+                di += 1
+        R = kth_best()
+        if R is not None and mins and min(mins) > R and dj > 0:
+            break
+        dj += 1
+    ranked = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
+    return [((c0 * b1[0] + c1 * b2[0], c0 * b1[1] + c1 * b2[1]), (c0, c1), d2)
+            for (c0, c1), d2 in ranked[:k]]
+
+
+@st.composite
+def _bases(draw):
+    """Nonsingular 2D bases of 8 to 8000 bits: uniform entries of either
+    sign, equal norms, and the escalation shape ((a, t), (0, -M))."""
+    bits = draw(st.integers(8, 8000))
+    big = st.integers(-(1 << bits), 1 << bits)
+    shape = draw(st.sampled_from(("uniform", "equal-norms", "escalation")))
+    if shape == "uniform":
+        b1, b2 = (draw(big), draw(big)), (draw(big), draw(big))
+    elif shape == "equal-norms":
+        x, y = draw(big), draw(big)
+        b1 = (x, y)
+        b2 = draw(st.sampled_from(((y, -x), (-y, x), (y, x), (-x, y))))
+    else:
+        a = draw(st.integers(1, 1 << max(1, bits // 2)))
+        b1, b2 = (a, draw(big)), (0, -draw(st.integers(1, 1 << bits)))
+    if draw(st.booleans()):
+        b1, b2 = b2, b1
+    if b1[0] * b2[1] - b1[1] * b2[0] == 0 or b1 == (0, 0):
+        b1, b2 = (1, 0), (0, 1)
+    return b1, b2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bases())
+def test_lagrange_reduce_matches_greedy_reference(basis):
+    assert lagrange_reduce(*basis) == _greedy_reduce(*basis)
+
+
+def test_lagrange_reduce_matches_reference_on_swapped_and_tied_bases():
+    for b1, b2 in [((5, 0), (0, 3)),            # |b1| > |b2|: swapped first
+                   ((3, 4), (4, 3)), ((3, 4), (-4, 3)), ((5, 0), (3, 4)),
+                   ((-7, 2), (2, 7)), ((1, 1), (1, -1)),
+                   ((336, 18401670), (0, -16777216))]:
+        assert lagrange_reduce(b1, b2) == _greedy_reduce(b1, b2)
+        assert lagrange_reduce(b2, b1) == _greedy_reduce(b2, b1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases(), st.integers(-(1 << 8000), 1 << 8000), st.integers(-(1 << 8000), 1 << 8000),
+       st.sampled_from((1, 2, 4, 5)))
+def test_closest_points_matches_fraction_reference(basis, tx, ty, k):
+    # a target near the lattice's scale makes the boxes non-trivial
+    scale = max(abs(v) for v in basis[0] + basis[1])
+    t = (tx % (4 * scale + 1) - 2 * scale, ty % (4 * scale + 1) - 2 * scale)
+    got = [(p.point, p.coeffs, p.dist2) for p in closest_points(basis, t, k)]
+    assert got == _fraction_closest(basis, t, k)
+
+
+def test_closest_points_matches_fraction_reference_on_small_lattices():
+    # many points per row (k up to 12) reach the row-termination test
+    rng = random.Random(5)
+    for _ in range(3000):
+        s = rng.choice((3, 10, 40, 300))
+        b1 = (rng.randint(-s, s), rng.randint(-s, s))
+        b2 = (rng.randint(-s, s), rng.randint(-s, s))
+        if b1[0] * b2[1] - b1[1] * b2[0] == 0:
+            continue
+        t = (rng.randint(-10 * s, 10 * s), rng.randint(-10 * s, 10 * s))
+        k = rng.choice((1, 2, 3, 4, 5, 8, 12))
+        got = [(p.point, p.coeffs, p.dist2) for p in closest_points((b1, b2), t, k)]
+        assert got == _fraction_closest((b1, b2), t, k), (b1, b2, t, k)
 
 
 def test_closest_points_identity_basis():
@@ -119,6 +259,92 @@ def test_trace_checker_rejects_tampering():
     bad_final = replace(tr.final, sigma=tr.final.sigma * 2)
     with pytest.raises(TraceError):
         check_trace(replace(tr, attempts=tr.attempts[:-1] + (bad_final,)))
+
+
+def _reference_pass(n, b0, bits=None):
+    """escalation_pass as built before the shared enclosures: every constant
+    rounded from its own builder at every doubling, with the greedy
+    reduction and the rational enumeration."""
+    N = (1 << (n - 1)) - 1
+    bits = bits or (8 * b0.bit_length() + 64)
+    b0_4 = b0 ** 4
+    b0_8 = b0_4 * b0_4
+    t2 = rounding.nearest_int(lambda ctx: lattice._theta2(ctx, N) * b0_8, bits)
+    tgt = rounding.nearest_int(lambda ctx: 2 * lattice._theta(ctx, N) * b0_8 / N, bits)
+    d_const = rounding.ceil_int(lambda ctx: lattice._delta2(ctx, N) * b0_8 * b0_8, bits)
+    attempts = []
+    for doublings in range(lattice.MAX_DOUBLINGS + 1):
+        mult = 1 << doublings
+        scale_a = rounding.nearest_int(
+            lambda ctx: lattice._delta2(ctx, N) * mult * b0_4, bits)
+        x6 = max(scale_a * scale_a, rounding.ceil_int(
+            lambda ctx: (lattice._delta2(ctx, N) * mult * b0_4) ** 2, bits))
+        basis = ((scale_a, t2), (0, -b0_8))
+        coeffs = tuple(c for _, c, _ in _fraction_closest(basis, (0, tgt), 4))
+        sigma = lattice._adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
+        ok = lattice._h_poly(x6, sigma, d_const)(b0) < 0
+        attempts.append(lattice.LatticeAttempt(doublings, scale_a, basis, (0, tgt),
+                                               coeffs, sigma, ok))
+        if ok:
+            out = lattice._largest_nonpositive(x6, sigma, d_const, b0) + 1
+            return EscalationTrace(n, N, b0, bits, d_const, x6, tuple(attempts), out)
+    raise AssertionError("reference pass did not certify")
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+def test_escalation_chain_matches_per_doubling_reference(n):
+    # every field of every trace and attempt, three passes deep
+    b0 = bounds.initial_divisor_bound(n)
+    for _ in range(3):
+        tr = escalation_pass(n, b0)
+        assert tr == _reference_pass(n, b0)
+        check_trace(tr)
+        b0 = tr.b0_out
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(lattice, name)
+
+    def counted(ctx, N):
+        calls.append(ctx.prec)
+        return fn(ctx, N)
+    monkeypatch.setattr(lattice, name, counted)
+    return calls
+
+
+def test_pass_where_d_needs_a_precision_doubling(monkeypatch):
+    # at 16 working bits the delta^2 enclosure starts at 32 bits, too few for
+    # d = ceil(delta^2 8^16) (about 50 bits): it must refine, and every later
+    # doubling reuses the refined enclosure
+    want = _reference_pass(5, 8, bits=16)
+    calls = _count_calls(monkeypatch, "_delta2")
+    tr = escalation_pass(5, 8, bits=16)
+    assert calls[:2] == [32, 64]
+    assert tr == want
+    check_trace(tr)
+
+
+def test_delta2_evaluations_do_not_grow_with_attempts(monkeypatch):
+    b0 = bounds.initial_divisor_bound(13)
+    b0 = escalation_pass(13, b0).b0_out     # this pass takes 8 attempts
+    calls = _count_calls(monkeypatch, "_delta2")
+    tr = escalation_pass(13, b0)
+    assert len(tr.attempts) >= 3
+    # one enclosure at twice the working precision; a refinement would add a
+    # call at twice that precision, never one per attempt
+    assert calls == [2 * tr.bits]
+
+
+def test_check_trace_encloses_each_constant_once(monkeypatch):
+    tr = escalation_pass(7, bounds.initial_divisor_bound(7))
+    delta2 = _count_calls(monkeypatch, "_delta2")
+    theta = _count_calls(monkeypatch, "_theta")
+    check_trace(tr)
+    # theta / N once, delta^2 once (its builder evaluates theta once more),
+    # all at twice the producer's precision, with no refinement needed here
+    assert delta2 == [2 * tr.bits]
+    assert theta == [2 * tr.bits] * 2
 
 
 def test_rerun_at_double_precision_is_identical():
