@@ -6,6 +6,7 @@ Exit codes: 0 verified/ok, 1 verification failure or counterexample,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -134,14 +135,15 @@ def cmd_stab_verify(args) -> int:
     cert = lattice.verify_no_squares_up_to(x, progress=progress, jobs=args.jobs)
     lattice.check_stab_certificate(cert)
     elapsed = time.time() - t0
-    payload = _stab_to_json(cert, emit_trace=args.emit_trace)
-    payload["elapsed_seconds"] = round(elapsed, 3)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
-    if args.json:
-        print(json.dumps(payload))
-    else:
+    with _any_int_digits():
+        payload = _stab_to_json(cert, emit_trace=args.emit_trace)
+        payload["elapsed_seconds"] = round(elapsed, 3)
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(payload, fh, indent=1)
+        if args.json:
+            print(json.dumps(payload))
+    if not args.json:
         worked = sum(1 for e in cert.entries if e.certificate is not None)
         print(f"verified: no square a_p(c) for any prime 5 <= p <= {cert.prime_cap} "
               f"and even 4 <= c <= {args.x}")
@@ -149,6 +151,22 @@ def cmd_stab_verify(args) -> int:
               f"gamma doublings: {cert.gamma_doublings}; {elapsed:.1f}s")
         print("certificate re-checked: OK")
     return 0
+
+
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's int-to-str digit limit (3.11+) while certificates are
+    written: trace integers at X = 1e1000 run to tens of thousands of digits."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _stab_to_json(cert, emit_trace: bool = False) -> dict:

@@ -36,18 +36,31 @@ class EscalationStuck(ArithmeticError):
 
 # --- certified constants ----------------------------------------------------
 
+def _log_silver(ctx):
+    """L = log(3 + 2 sqrt 2), twice the log of the silver ratio 1 + sqrt 2."""
+    return ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2)))
+
+
+# L = log(3 + 2 sqrt 2) depends on neither N nor the pass, so each side keeps
+# one enclosure of it: the producer's, and the checker's, which only the
+# checking paths read, so a checked trace shares no arithmetic with its maker.
+_PROVER_L = rounding.Constant(_log_silver)
+_CHECKER_L = rounding.Constant(_log_silver)
+
+
 def _theta(ctx, N: int):
     return ctx.exp(ctx.log(ctx.mpf(2)) / N)
 
 
-def _theta2(ctx, N: int):
-    return ctx.exp(ctx.log(ctx.mpf(2)) * 2 / N)
+def _delta2(ctx, N: int, L: rounding.Constant):
+    """delta^2 = (4 (3 + 2 sqrt 2)^(1/N) / (theta N))^2, as
+    16 exp(2 (L - ln 2) / N) / N^2: one exp of the shared L."""
+    return 16 * ctx.exp(2 * (L(ctx) - ctx.ln2) / N) / (N * N)
 
 
-def _delta2(ctx, N: int):
-    # (4 (3 + 2 sqrt 2)^(1/N) / (theta N))^2
-    d = 4 * ctx.exp(ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2))) / N) / (_theta(ctx, N) * N)
-    return d * d
+def _xi(ctx, N: int, L: rounding.Constant):
+    """theta^2 (3 - 2 sqrt 2)^(1/N) = exp((2 ln 2 - L) / N)."""
+    return ctx.exp((2 * ctx.ln2 - L(ctx)) / N)
 
 
 # --- exact 2D closest-vector enumeration ------------------------------------
@@ -277,7 +290,7 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     # One delta^2 enclosure serves d and every doubling.  d = delta^2 B0^16
     # carries twice the bits of B0^8, so the enclosure starts at twice the
     # working precision, the precision d would otherwise refine to.
-    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N), 2 * bits)
+    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _PROVER_L), 2 * bits)
     d_const = delta2.ceil(b0_8 * b0_8)
     attempts: list[LatticeAttempt] = []
     for doublings in range(MAX_DOUBLINGS + 1):
@@ -320,15 +333,15 @@ class DivisorBoundCertificate:
         return sum(t.final.doublings for t in self.traces)
 
 
+def _c_exclusion(n: int, B: int, L: rounding.Constant, bits: int = 256) -> int:
+    N = (1 << (n - 1)) - 1
+    return rounding.floor_of_lower(lambda ctx: _xi(ctx, N, L) * B * B,
+                                   max(bits, 2 * B.bit_length() + 64))
+
+
 def c_exclusion_bound(n: int, B: int, bits: int = 256) -> int:
     """Certified floor of theta^2 (3 - 2 sqrt 2)^(1/N) B^2."""
-    N = (1 << (n - 1)) - 1
-
-    def build(ctx):
-        fac = _theta2(ctx, N) * ctx.exp(ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N)
-        return fac * B * B
-
-    return rounding.floor_of_lower(build, max(bits, 2 * B.bit_length() + 64))
+    return _c_exclusion(n, B, _PROVER_L, bits)
 
 
 def required_divisor_bound(n: int, x_bound: int) -> int:
@@ -336,8 +349,7 @@ def required_divisor_bound(n: int, x_bound: int) -> int:
     N = (1 << (n - 1)) - 1
 
     def build(ctx):
-        fac = _theta2(ctx, N) * ctx.exp(ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N)
-        return ctx.sqrt(ctx.mpf(x_bound) / fac)
+        return ctx.sqrt(ctx.mpf(x_bound) / _xi(ctx, N, _PROVER_L))
 
     work = max(256, x_bound.bit_length() + 64)
     B = rounding.floor_of_upper(build, work) + 1
@@ -369,11 +381,12 @@ def check_trace(trace: EscalationTrace) -> None:
     Encloses each constant (theta / N and delta^2) once, at twice the
     producer's precision, refining only when a rounding is undecided, and
     scales the enclosures exactly to re-derive theta^2 B0^8, the target, the
-    lattice scale, d and the x^6 floor.  Half-up and ceiling values are
-    precision-independent, so exact equality with the stored integers is the
-    test.  Recomputes sigma from the stored points and re-derives the
-    outgoing bound from the h-window.  Shares nothing with the producer.
-    Raises TraceError on any mismatch.
+    lattice scale, d and the x^6 floor.  delta^2 takes L = log(3 + 2 sqrt 2)
+    from the checker's own table, which the producer never reads.  Half-up
+    and ceiling values are precision-independent, so exact equality with the
+    stored integers is the test.  Recomputes sigma from the stored points and
+    re-derives the outgoing bound from the h-window.  Shares no computed
+    value with the producer.  Raises TraceError on any mismatch.
     """
     N = (1 << (trace.n - 1)) - 1
     if N != trace.N:
@@ -392,7 +405,7 @@ def check_trace(trace: EscalationTrace) -> None:
     if tgt != tgt_need:
         raise TraceError("target rounding claim fails")
     mult = 1 << fin.doublings
-    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N), bits2)
+    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _CHECKER_L), bits2)
     if scale_a != delta2.nearest(mult * b0_4):
         raise TraceError("gamma B0^4 rounding claim fails")
     if trace.d_const != delta2.ceil(b0_8 * b0_8):
@@ -424,7 +437,7 @@ def check_divisor_certificate(cert: DivisorBoundCertificate) -> None:
         b0 = tr.b0_out
     if b0 != cert.final_bound or b0 <= cert.target_bound:
         raise TraceError("final bound does not clear the target")
-    if c_exclusion_bound(cert.n, cert.final_bound) < cert.c_exclusion:
+    if _c_exclusion(cert.n, cert.final_bound, _CHECKER_L) < cert.c_exclusion:
         raise TraceError("c exclusion bound overstated")
 
 
@@ -516,7 +529,7 @@ def check_stab_certificate(cert: StabCertificate) -> None:
     if [e.prime for e in cert.entries] != primes:
         raise TraceError("prime coverage incomplete")
     for e in cert.entries:
-        if c_exclusion_bound(e.prime, e.required_bound) < cert.x_bound:
+        if _c_exclusion(e.prime, e.required_bound, _CHECKER_L) < cert.x_bound:
             raise TraceError(f"required bound too small at p={e.prime}")
         if e.certificate is None:
             if e.initial_bound < e.required_bound:

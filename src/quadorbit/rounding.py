@@ -3,8 +3,12 @@
 Every integer or boolean produced here is exact for the true real value, not
 for a floating approximation.  Callers pass a *builder*: a function taking an
 interval context and returning an interval enclosure of the quantity of
-interest.  If the enclosure is too wide to decide the question, the working
-precision is doubled and the expression rebuilt, up to a hard cap.
+interest.  Builders evaluate in the one shared context of iv_context, set to
+the working precision; a builder returns its enclosure before any other
+iv_context call.  If the enclosure is too wide to decide the question, the
+working precision is doubled and the expression rebuilt, up to a hard cap.
+A Constant keeps one enclosure of a fixed real, in a context of its own, for
+builders that use that real at many precisions.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import mpf_pos, round_ceiling, round_floor
 
 MAX_BITS = 1 << 22
 DEFAULT_BITS = 128
@@ -24,10 +29,20 @@ class PrecisionExhausted(ArithmeticError):
     """A certified decision failed even at the precision cap."""
 
 
+_context: MPIntervalContext | None = None
+
+
 def iv_context(bits: int) -> MPIntervalContext:
-    ctx = MPIntervalContext()
-    ctx.prec = bits
-    return ctx
+    """The shared interval context, set to the given precision.
+
+    It is created on first use; each call resets its precision, so a caller
+    finishes with the context before the next call.
+    """
+    global _context
+    if _context is None:
+        _context = MPIntervalContext()
+    _context.prec = bits
+    return _context
 
 
 def _dyadic(raw) -> tuple[int, int]:
@@ -69,25 +84,6 @@ def _refine(build: Builder, pick, bits: int | None, max_bits: int, settle=None):
     raise PrecisionExhausted(f"undecided at {max_bits} bits")
 
 
-def nearest_int(build: Builder, bits: int | None = None) -> int:
-    """Half-up nearest integer of the exact value: floor(x + 1/2)."""
-    half = Fraction(1, 2)
-
-    def pick(lo, hi):
-        a, b = math.floor(lo + half), math.floor(hi + half)
-        return a if a == b else None
-
-    return _refine(build, pick, bits, MAX_BITS)
-
-
-def ceil_int(build: Builder, bits: int | None = None) -> int:
-    def pick(lo, hi):
-        a, b = math.ceil(lo), math.ceil(hi)
-        return a if a == b else None
-
-    return _refine(build, pick, bits, MAX_BITS)
-
-
 def _same_floor(lo, hi):
     a = math.floor(lo)
     return a if a == math.floor(hi) else None
@@ -121,6 +117,35 @@ def _floor_half_up(num: int, shift: int) -> int:
 def _ceil_shifted(num: int, shift: int) -> int:
     """ceil(num / 2^shift)."""
     return -((-num) >> shift)
+
+
+class Constant:
+    """One certified enclosure of a fixed real, grown by doubling.
+
+    Calling it with an interval context returns the enclosure rounded
+    outward to that context's precision.  When the caller asks for more
+    precision than is held, the builder is evaluated afresh, in the
+    instance's own context, at max(asked, 2 * held) bits, so a run evaluates
+    it once per doubling of the largest precision asked for.
+    """
+
+    def __init__(self, build: Builder):
+        self._build = build
+        self._ctx: MPIntervalContext | None = None
+        self._bits = 0
+        self._lo = self._hi = None
+
+    def __call__(self, ctx: MPIntervalContext):
+        prec = ctx.prec
+        if prec > self._bits:
+            if self._ctx is None:
+                self._ctx = MPIntervalContext()
+            bits = max(prec, 2 * self._bits)
+            self._ctx.prec = bits
+            self._lo, self._hi = self._build(self._ctx)._mpi_
+            self._bits = bits
+        return ctx.make_mpf((mpf_pos(self._lo, prec, round_floor),
+                             mpf_pos(self._hi, prec, round_ceiling)))
 
 
 class Enclosure:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -137,3 +138,21 @@ def test_golden_output_digests(capsys):
         "0e8b938e045d9cb1c34a29d6878c72f4be84f849fcd9eb0eae797f5178ca46fe"
     assert digest(["stab-verify", "--x", "1e60", "--emit-trace", "--json"], True) == \
         "d77bfca63cedc0c7b3fe6bcc6432a2431c4ba15eb3dc3871699c49120721b32c"
+
+
+def test_trace_json_past_the_int_digit_limit(capsys):
+    # trace integers at 1e100 pass 640 digits, as those at 1e1000 pass the
+    # default 4300: writing them must not depend on the interpreter's limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["stab-verify", "--x", "1e100", "--emit-trace", "--json"]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    payload = json.loads(capsys.readouterr().out)
+    del payload["elapsed_seconds"]
+    assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
+        "6b5d39836fc6a8d9b1dcd7e942493e273b1bdc1533a4890a58ad862008b1165b"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from quadorbit import bounds, lattice, rounding
 from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
@@ -16,18 +17,74 @@ from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
 from quadorbit.sieve import NumeratorTarget, verify_sieve_certificate
 
 
+# --- references: per-doubling roundings from a fresh builder each time, and
+# the constants as written before they shared one log(3 + 2 sqrt 2) --------
+
+def _refined(build, pick, bits=128):
+    while True:
+        res = pick(*rounding.iv_endpoints(build(rounding.iv_context(bits))))
+        if res is not None:
+            return res
+        bits *= 2
+
+
+def _nearest_int(build, bits=128):
+    """Half-up nearest integer of the exact value: floor(x + 1/2)."""
+    half = Fraction(1, 2)
+
+    def pick(lo, hi):
+        a, b = math.floor(lo + half), math.floor(hi + half)
+        return a if a == b else None
+
+    return _refined(build, pick, bits)
+
+
+def _ceil_int(build, bits=128):
+    def pick(lo, hi):
+        a, b = math.ceil(lo), math.ceil(hi)
+        return a if a == b else None
+
+    return _refined(build, pick, bits)
+
+
+def _theta2_ref(ctx, N):
+    return ctx.exp(ctx.log(ctx.mpf(2)) * 2 / N)
+
+
+def _delta2_ref(ctx, N):
+    d = 4 * ctx.exp(ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2))) / N) / (lattice._theta(ctx, N) * N)
+    return d * d
+
+
 def test_fixed_point_root():
     # 2^(1/15) rounded to 64 fractional bits: theta^N brackets 2 within one ulp
-    val = Fraction(rounding.nearest_int(lambda ctx: lattice._theta(ctx, 15) * 2 ** 64), 2 ** 64)
+    val = Fraction(_nearest_int(lambda ctx: lattice._theta(ctx, 15) * 2 ** 64), 2 ** 64)
     ulp = Fraction(1, 2 ** 64)
     assert (val - ulp) ** 15 < 2 < (val + ulp) ** 15
     # scaled roundings match the recorded basis/target integers
-    t2 = rounding.nearest_int(
-        lambda ctx: ctx.exp(ctx.log(ctx.mpf(2)) * 2 / 15) * 8 ** 8)
-    assert t2 == 18401670
-    tgt = rounding.nearest_int(
-        lambda ctx: 2 * ctx.exp(ctx.log(ctx.mpf(2)) / 15) * 8 ** 8 / 15)
+    assert _nearest_int(lambda ctx: _theta2_ref(ctx, 15) * 8 ** 8) == 18401670
+    tgt = _nearest_int(lambda ctx: 2 * ctx.exp(ctx.log(ctx.mpf(2)) / 15) * 8 ** 8 / 15)
     assert tgt == 2342757
+
+
+def test_shared_constant_formulas_enclose_the_old_ones():
+    # the table hands out L rounded outward: it contains a sharper
+    # enclosure made apart from it; delta^2 and theta^2 (3 - 2 sqrt 2)^(1/N)
+    # from L overlap the direct formulas, at precisions the table grows through
+    sharp = MPIntervalContext()
+    sharp.prec = 4096
+    l_lo, l_hi = rounding.iv_endpoints(lattice._log_silver(sharp))
+    for N in (15, 63, 8191):
+        for bits in (64, 1000, 64):
+            ctx = rounding.iv_context(bits)
+            lo, hi = rounding.iv_endpoints(lattice._PROVER_L(ctx))
+            assert lo <= l_lo and l_hi <= hi
+            pairs = [(lattice._delta2(ctx, N, lattice._PROVER_L), _delta2_ref(ctx, N)),
+                     (lattice._xi(ctx, N, lattice._PROVER_L),
+                      _theta2_ref(ctx, N) * ctx.exp(ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N))]
+            for new, old in pairs:
+                (a, b), (c, d) = rounding.iv_endpoints(new), rounding.iv_endpoints(old)
+                assert a <= d and c <= b
 
 
 def test_lagrange_reduction_tracks_coefficients():
@@ -263,22 +320,21 @@ def test_trace_checker_rejects_tampering():
 
 def _reference_pass(n, b0, bits=None):
     """escalation_pass as built before the shared enclosures: every constant
-    rounded from its own builder at every doubling, with the greedy
-    reduction and the rational enumeration."""
+    rounded from its own builder, with its own log(3 + 2 sqrt 2), at every
+    doubling, with the greedy reduction and the rational enumeration."""
     N = (1 << (n - 1)) - 1
     bits = bits or (8 * b0.bit_length() + 64)
     b0_4 = b0 ** 4
     b0_8 = b0_4 * b0_4
-    t2 = rounding.nearest_int(lambda ctx: lattice._theta2(ctx, N) * b0_8, bits)
-    tgt = rounding.nearest_int(lambda ctx: 2 * lattice._theta(ctx, N) * b0_8 / N, bits)
-    d_const = rounding.ceil_int(lambda ctx: lattice._delta2(ctx, N) * b0_8 * b0_8, bits)
+    t2 = _nearest_int(lambda ctx: _theta2_ref(ctx, N) * b0_8, bits)
+    tgt = _nearest_int(lambda ctx: 2 * lattice._theta(ctx, N) * b0_8 / N, bits)
+    d_const = _ceil_int(lambda ctx: _delta2_ref(ctx, N) * b0_8 * b0_8, bits)
     attempts = []
     for doublings in range(lattice.MAX_DOUBLINGS + 1):
         mult = 1 << doublings
-        scale_a = rounding.nearest_int(
-            lambda ctx: lattice._delta2(ctx, N) * mult * b0_4, bits)
-        x6 = max(scale_a * scale_a, rounding.ceil_int(
-            lambda ctx: (lattice._delta2(ctx, N) * mult * b0_4) ** 2, bits))
+        scale_a = _nearest_int(lambda ctx: _delta2_ref(ctx, N) * mult * b0_4, bits)
+        x6 = max(scale_a * scale_a, _ceil_int(
+            lambda ctx: (_delta2_ref(ctx, N) * mult * b0_4) ** 2, bits))
         basis = ((scale_a, t2), (0, -b0_8))
         coeffs = tuple(c for _, c, _ in _fraction_closest(basis, (0, tgt), 4))
         sigma = lattice._adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
@@ -306,9 +362,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     fn = getattr(lattice, name)
 
-    def counted(ctx, N):
+    def counted(ctx, *args):
         calls.append(ctx.prec)
-        return fn(ctx, N)
+        return fn(ctx, *args)
     monkeypatch.setattr(lattice, name, counted)
     return calls
 
@@ -341,10 +397,66 @@ def test_check_trace_encloses_each_constant_once(monkeypatch):
     delta2 = _count_calls(monkeypatch, "_delta2")
     theta = _count_calls(monkeypatch, "_theta")
     check_trace(tr)
-    # theta / N once, delta^2 once (its builder evaluates theta once more),
-    # all at twice the producer's precision, with no refinement needed here
+    # theta / N once and delta^2 once (from L, without theta), both at twice
+    # the producer's precision, with no refinement needed here
     assert delta2 == [2 * tr.bits]
-    assert theta == [2 * tr.bits] * 2
+    assert theta == [2 * tr.bits]
+
+
+def _fresh_table(monkeypatch, name, build=lattice._log_silver):
+    """Replace one side's L table by a new one whose evaluations are logged."""
+    evals = []
+
+    def logged(ctx):
+        evals.append(ctx.prec)
+        return build(ctx)
+    monkeypatch.setattr(lattice, name, rounding.Constant(logged))
+    return evals
+
+
+def test_constants_cost_grows_with_table_doublings_not_passes(monkeypatch):
+    made = []
+    init = MPIntervalContext.__init__
+
+    def counted_init(ctx):
+        made.append(1)
+        init(ctx)
+    monkeypatch.setattr(MPIntervalContext, "__init__", counted_init)
+    monkeypatch.setattr(rounding, "_context", None)
+    prover = _fresh_table(monkeypatch, "_PROVER_L")
+    checker = _fresh_table(monkeypatch, "_CHECKER_L")
+    cert = verify_no_squares_up_to(10 ** 100)
+    check_stab_certificate(cert)
+    passes = sum(len(e.certificate.traces) for e in cert.entries if e.certificate)
+    # one shared context plus one per table, however many passes ran
+    assert len(made) == 3
+    assert passes > 20
+    # each table is evaluated only when asked past what it holds, and then
+    # at least doubles, so its evaluations are its growths
+    for evals in (prover, checker):
+        assert evals and all(b >= 2 * a for a, b in zip(evals, evals[1:]))
+        assert len(evals) <= 1 + math.log2(evals[-1] / evals[0])
+    assert len(prover) + len(checker) < passes
+
+
+def _shifted_l(ctx):
+    # L moved up by a relative 2^-20: an enclosure that misses the true value
+    return lattice._log_silver(ctx) * (1 + ctx.mpf(2) ** -20)
+
+
+def test_checker_does_not_read_the_producers_table(monkeypatch):
+    _fresh_table(monkeypatch, "_PROVER_L", _shifted_l)
+    tr = escalation_pass(7, bounds.initial_divisor_bound(7))
+    with pytest.raises(TraceError):
+        check_trace(tr)
+
+
+def test_checker_rejects_an_honest_trace_under_its_own_wrong_table(monkeypatch):
+    tr = escalation_pass(7, bounds.initial_divisor_bound(7))
+    check_trace(tr)
+    _fresh_table(monkeypatch, "_CHECKER_L", _shifted_l)
+    with pytest.raises(TraceError):
+        check_trace(tr)
 
 
 def test_rerun_at_double_precision_is_identical():
