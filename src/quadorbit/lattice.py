@@ -16,6 +16,7 @@ integers alone.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -65,17 +66,25 @@ def _xi(ctx, N: int, L: rounding.Constant):
 
 # --- exact 2D closest-vector enumeration ------------------------------------
 
-def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int]):
+Transform = tuple[tuple[int, int], tuple[int, int]]
+IDENTITY: Transform = ((1, 0), (0, 1))
+
+
+def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int],
+                    t1: tuple[int, int] = (1, 0), t2: tuple[int, int] = (0, 1)):
     """Greedy (Lagrange-Gauss) reduction of a 2D integer basis, tracking the
     unimodular map.
 
-    Returns (r1, r2, t1, t2) with r1, r2 the reduced basis and t1, t2 their
-    coefficient rows over the original basis.  The Gram entries |b1|^2,
-    |b2|^2 and <b1, b2> are carried through each step b2 -= m b1
-    (|b2|^2 -= 2 m <b1, b2> - m^2 |b1|^2, <b1, b2> -= m |b1|^2) rather than
-    recomputed, so a step costs products by the small quotient m only.
+    t1, t2 are the coefficient rows of b1, b2 over some original basis (by
+    default b1, b2 themselves).  Returns (r1, r2, t1, t2) with r1, r2 the
+    reduced basis and t1, t2 their coefficient rows over that original
+    basis: each step applies to the rows what it applies to the vectors, so
+    a reduction started from T B returns its own map composed with T.  The
+    Gram entries |b1|^2, |b2|^2 and <b1, b2> are carried through each step
+    b2 -= m b1 (|b2|^2 -= 2 m <b1, b2> - m^2 |b1|^2, <b1, b2> -= m |b1|^2)
+    rather than recomputed, so a step costs products by the small quotient
+    m only, and a nearly reduced start costs a few steps.
     """
-    t1, t2 = (1, 0), (0, 1)
     n1 = b1[0] * b1[0] + b1[1] * b1[1]
     n2 = b2[0] * b2[0] + b2[1] * b2[1]
     dot = b1[0] * b2[0] + b1[1] * b2[1]
@@ -100,21 +109,42 @@ class LatticePoint:
 
 
 def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
-                   target: tuple[int, int], k: int = 4) -> list[LatticePoint]:
-    """The k nearest lattice points to the target, exactly.
+                   target: tuple[int, int], k: int = 4,
+                   start: Transform = IDENTITY) -> tuple[list[LatticePoint], Transform]:
+    """The k nearest lattice points to the target, exactly, and the
+    unimodular map that reduced the basis.
 
-    Reduce, then enumerate coefficient boxes around the coordinates of the
-    target (Fincke-Pohst in dimension 2); ties break by coefficient order
-    over the original basis.  Integer arithmetic only: with D = |det| and
-    n1 = |r1|^2 of the reduced basis, the target's coordinates are x1/D and
-    x2/D, the gap of row j is e^2 / n1 with e = j D - x2, and each rational
-    comparison is made by cross-multiplying with these positive denominators.
+    start is a unimodular map whose rows, over the basis, give the basis the
+    reduction starts from: the identity for a cold start, or the map that
+    reduced a nearby basis.  Reduce start * basis, then enumerate
+    coefficient rows around the coordinates of the target (Fincke-Pohst in
+    dimension 2).  Integer arithmetic only: with D = |det| and n1 = |r1|^2
+    of the reduced basis, the target's coordinates are x1/D and x2/D and
+    row j lies e^2 / n1 from the target, with e = j D - x2.  A row is
+    skipped when e^2 > R n1, R the k-th best squared distance so far, and
+    the rows stop once both rows of a step are skipped.  Along a row, the
+    squared distance grows with the distance from the row's nearest-integer
+    centre i0, so the scan up from i0 and the scan down from i0 - 1 each
+    stop at the first point whose exact squared distance exceeds R.
+
+    The output does not depend on start.  R only falls as points are found,
+    so every lattice point whose squared distance is at most the final R is
+    visited, whatever reduced basis the rows are taken over: its row is
+    reached and not skipped, and no point before it in its scan exceeds R.
+    The result is the k least visited points under the total order
+    (distance, coefficients over the original basis), which are the k least
+    of the whole lattice.
     """
     (b1, b2), t = basis, target
     det = b1[0] * b2[1] - b1[1] * b2[0]
     if det == 0:
         raise ValueError("basis is singular")
-    r1, r2, t1, t2 = lagrange_reduce(b1, b2)
+    s1, s2 = start
+    if s1[0] * s2[1] - s1[1] * s2[0] not in (1, -1):
+        raise ValueError("start map is not unimodular")
+    r1, r2, t1, t2 = lagrange_reduce(
+        (s1[0] * b1[0] + s1[1] * b2[0], s1[0] * b1[1] + s1[1] * b2[1]),
+        (s2[0] * b1[0] + s2[1] * b2[0], s2[0] * b1[1] + s2[1] * b2[1]), s1, s2)
     n1 = r1[0] * r1[0] + r1[1] * r1[1]
     dot = r1[0] * r2[0] + r1[1] * r2[1]
     rdet = r1[0] * r2[1] - r1[1] * r2[0]
@@ -122,23 +152,22 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
     D = sgn * rdet
     x1 = sgn * (t[0] * r2[1] - t[1] * r2[0])
     x2 = sgn * (r1[0] * t[1] - r1[1] * t[0])
-    D2 = D * D
     Dn1 = D * n1
 
-    found: dict[tuple[int, int], int] = {}
+    best: list[tuple[int, tuple[int, int]]] = []   # the k least (d2, coeffs)
 
-    def consider(i: int, j: int) -> None:
+    def consider(i: int, j: int) -> int:
         px = i * r1[0] + j * r2[0]
         py = i * r1[1] + j * r2[1]
         d2 = (px - t[0]) ** 2 + (py - t[1]) ** 2
-        vo = i * t1[0] + j * t2[0]
-        uo = i * t1[1] + j * t2[1]
-        found[(vo, uo)] = d2
+        entry = (d2, (i * t1[0] + j * t2[0], i * t1[1] + j * t2[1]))
+        if len(best) < k or entry < best[-1]:
+            bisect.insort(best, entry)
+            del best[k:]
+        return d2
 
     def kth_best() -> int | None:
-        if len(found) < k:
-            return None
-        return sorted(found.values())[k - 1]
+        return best[-1][0] if len(best) == k else None
 
     j0 = (2 * x2 + D) // (2 * D)
     dj = 0
@@ -154,28 +183,19 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
                 continue
             cn = x1 * n1 - dot * e   # centre of row j: cn / (D n1)
             i0 = (2 * cn + Dn1) // (2 * Dn1)
-            jgap = D2 * e2
-            di = 0
-            while True:
-                is_ = [i0 + di, i0 - di] if di else [i0]
-                progressed = False
-                for i in is_:
+            for i, step in ((i0, 1), (i0 - 1, -1)):
+                while True:
+                    d2 = consider(i, j)
                     R = kth_best()
-                    if R is not None and (i * Dn1 - cn) ** 2 + jgap > R * D2 * n1:
-                        continue
-                    consider(i, j)
-                    progressed = True
-                if not progressed and di > 0:
-                    break
-                di += 1
+                    if R is not None and d2 > R:
+                        break
+                    i += step
         R = kth_best()
         if R is not None and mins and min(mins) > R * n1 and dj > 0:
             break
         dj += 1
-    ranked = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
-    return [LatticePoint((c0 * b1[0] + c1 * b2[0], c0 * b1[1] + c1 * b2[1]),
-                         (c0, c1), d2)
-            for (c0, c1), d2 in ranked[:k]]
+    return ([LatticePoint((c0 * b1[0] + c1 * b2[0], c0 * b1[1] + c1 * b2[1]),
+                          (c0, c1), d2) for d2, (c0, c1) in best], (t1, t2))
 
 
 # --- escalation passes ------------------------------------------------------
@@ -278,7 +298,12 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     closest points to the target, converts them into a certified distance
     lower bound sigma, and extracts the new bound from the nonpositive
     window of h(x) = x6 * x^6 - sigma * x^4 + d.  Doubles the lattice scale
-    gamma until h(b0) < 0, at most MAX_DOUBLINGS times.
+    gamma until h(b0) < 0, at most MAX_DOUBLINGS times.  A doubling changes
+    only the first basis entry, so each attempt starts its reduction from
+    the map that reduced the previous one (the first from the identity):
+    the previous reduced vectors grow by about a bit, and a few greedy steps
+    reduce them again.  closest_points' output does not depend on where its
+    reduction starts, so neither does the trace.
     """
     N = (1 << (n - 1)) - 1
     if N < 15:
@@ -293,6 +318,7 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _PROVER_L), 2 * bits)
     d_const = delta2.ceil(b0_8 * b0_8)
     attempts: list[LatticeAttempt] = []
+    reducer = IDENTITY
     for doublings in range(MAX_DOUBLINGS + 1):
         mult = 1 << doublings
         scale_a = delta2.nearest(mult * b0_4)
@@ -302,7 +328,7 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
         # larger of the rounded square and a certified ceiling of the square.
         x6 = max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
         basis = ((scale_a, t2), (0, -b0_8))
-        pts = closest_points(basis, (0, tgt), 4)
+        pts, reducer = closest_points(basis, (0, tgt), 4, reducer)
         coeffs = tuple(p.coeffs for p in pts)
         sigma = _adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
         h = _h_poly(x6, sigma, d_const)

@@ -140,6 +140,22 @@ def test_golden_output_digests(capsys):
         "d77bfca63cedc0c7b3fe6bcc6432a2431c4ba15eb3dc3871699c49120721b32c"
 
 
+def test_stab_verify_worker_pool_prints_the_same_bytes(capsys):
+    # --jobs 2 farms the primes out to a process pool; the certificate is
+    # ordered by prime whatever order the workers finish in
+    def printed(jobs):
+        assert main(["stab-verify", "--x", "1e100", "--jobs", jobs,
+                     "--emit-trace", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["elapsed_seconds"]
+        return json.dumps(payload) + "\n"
+
+    pooled = printed("2")
+    assert pooled == printed("1")
+    assert hashlib.sha256(pooled.encode()).hexdigest() == \
+        "6b5d39836fc6a8d9b1dcd7e942493e273b1bdc1533a4890a58ad862008b1165b"
+
+
 def test_trace_json_past_the_int_digit_limit(capsys):
     # trace integers at 1e100 pass 640 digits, as those at 1e1000 pass the
     # default 4300: writing them must not depend on the interpreter's limit

@@ -208,15 +208,56 @@ def test_lagrange_reduce_matches_reference_on_swapped_and_tied_bases():
         assert lagrange_reduce(b2, b1) == _greedy_reduce(b2, b1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_bases(), st.integers(-(1 << 8000), 1 << 8000), st.integers(-(1 << 8000), 1 << 8000),
+@st.composite
+def _unimodular(draw):
+    """Unimodular maps built from row moves: adding a multiple of one row to
+    the other (small, or up to 2^200 for skewed starts far from reduced),
+    swaps and negations."""
+    t1, t2 = (1, 0), (0, 1)
+    mult = st.one_of(st.integers(-3, 3), st.integers(-(1 << 200), 1 << 200))
+    for move in draw(st.lists(st.sampled_from(("add", "swap", "negate")), max_size=6)):
+        if move == "add":
+            m = draw(mult)
+            t2 = (t2[0] + m * t1[0], t2[1] + m * t1[1])
+        elif move == "swap":
+            t1, t2 = t2, t1
+        else:
+            t1 = (-t1[0], -t1[1])
+    return t1, t2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bases(), _unimodular(),
+       st.sampled_from(("near", "near", "origin", "lattice", "centre")),
+       st.integers(-(1 << 8000), 1 << 8000), st.integers(-(1 << 8000), 1 << 8000),
        st.sampled_from((1, 2, 4, 5)))
-def test_closest_points_matches_fraction_reference(basis, tx, ty, k):
-    # a target near the lattice's scale makes the boxes non-trivial
+def test_closest_points_matches_fraction_reference(basis, start, where, tx, ty, k):
+    # From any unimodular start (the identity is a cold start) the output,
+    # with coefficients over the given basis, is the reference's on that
+    # basis: the premise of the warm start.  A target near the lattice's
+    # scale makes the boxes non-trivial; the origin, a lattice point and the
+    # centre b1 + b2 of a cell of the doubled lattice give tied distances.
+    b1, b2 = basis
+    if where == "centre":
+        basis = ((2 * b1[0], 2 * b1[1]), (2 * b2[0], 2 * b2[1]))
     scale = max(abs(v) for v in basis[0] + basis[1])
-    t = (tx % (4 * scale + 1) - 2 * scale, ty % (4 * scale + 1) - 2 * scale)
-    got = [(p.point, p.coeffs, p.dist2) for p in closest_points(basis, t, k)]
-    assert got == _fraction_closest(basis, t, k)
+    t = {"near": (tx % (4 * scale + 1) - 2 * scale, ty % (4 * scale + 1) - 2 * scale),
+         "origin": (0, 0),
+         "lattice": (b1[0] - b2[0], b1[1] - b2[1]),
+         "centre": (b1[0] + b2[0], b1[1] + b2[1])}[where]
+    pts, (t1, t2) = closest_points(basis, t, k, start)
+    assert [(p.point, p.coeffs, p.dist2) for p in pts] == _fraction_closest(basis, t, k)
+    # the returned map is unimodular, over the given basis, and reduces it
+    assert abs(t1[0] * t2[1] - t1[1] * t2[0]) == 1
+    r1, r2 = [(c[0] * basis[0][0] + c[1] * basis[1][0],
+               c[0] * basis[0][1] + c[1] * basis[1][1]) for c in (t1, t2)]
+    n1, n2 = r1[0] ** 2 + r1[1] ** 2, r2[0] ** 2 + r2[1] ** 2
+    assert n1 <= n2 and 2 * abs(r1[0] * r2[0] + r1[1] * r2[1]) <= n1
+
+
+def test_closest_points_rejects_a_start_that_is_not_unimodular():
+    with pytest.raises(ValueError):
+        closest_points(((1, 0), (0, 1)), (0, 0), 2, ((2, 0), (0, 1)))
 
 
 def test_closest_points_matches_fraction_reference_on_small_lattices():
@@ -230,12 +271,12 @@ def test_closest_points_matches_fraction_reference_on_small_lattices():
             continue
         t = (rng.randint(-10 * s, 10 * s), rng.randint(-10 * s, 10 * s))
         k = rng.choice((1, 2, 3, 4, 5, 8, 12))
-        got = [(p.point, p.coeffs, p.dist2) for p in closest_points((b1, b2), t, k)]
+        got = [(p.point, p.coeffs, p.dist2) for p in closest_points((b1, b2), t, k)[0]]
         assert got == _fraction_closest((b1, b2), t, k), (b1, b2, t, k)
 
 
 def test_closest_points_identity_basis():
-    pts = closest_points(((1, 0), (0, 1)), (0, 0), 4)
+    pts, _ = closest_points(((1, 0), (0, 1)), (0, 0), 4)
     assert [p.dist2 for p in pts] == [0, 1, 1, 1]
     assert pts[0].coeffs == (0, 0)
     # deterministic tie-break by coefficient order
@@ -266,7 +307,7 @@ def test_closest_points_against_enumeration():
             continue
         t = (rng.randint(-400, 400), rng.randint(-400, 400))
         k = rng.choice((1, 2, 4, 5))
-        got = [p.dist2 for p in closest_points((b1, b2), t, k)]
+        got = [p.dist2 for p in closest_points((b1, b2), t, k)[0]]
         assert got == _brute_closest((b1, b2), t, k), (b1, b2, t, k)
         done += 1
 
@@ -390,6 +431,38 @@ def test_delta2_evaluations_do_not_grow_with_attempts(monkeypatch):
     # one enclosure at twice the working precision; a refinement would add a
     # call at twice that precision, never one per attempt
     assert calls == [2 * tr.bits]
+
+
+def _bits(*vectors):
+    return max(abs(x).bit_length() for v in vectors for x in v)
+
+
+def test_warm_started_attempts_reduce_from_the_last_reduced_basis(monkeypatch):
+    b0 = bounds.initial_divisor_bound(13)
+    b0 = escalation_pass(13, b0).b0_out     # this pass takes 8 attempts
+    cvp_calls, reductions = [], []
+    cvp, reduce_ = lattice.closest_points, lattice.lagrange_reduce
+
+    def counted_cvp(*args):
+        cvp_calls.append(args)
+        return cvp(*args)
+
+    def logged_reduce(b1, b2, *rows):
+        out = reduce_(b1, b2, *rows)
+        reductions.append((_bits(b1, b2), _bits(out[0], out[1])))
+        return out
+    monkeypatch.setattr(lattice, "closest_points", counted_cvp)
+    monkeypatch.setattr(lattice, "lagrange_reduce", logged_reduce)
+    tr = escalation_pass(13, b0)
+    assert len(tr.attempts) == 8
+    # one enumeration and one reduction per attempt
+    assert len(cvp_calls) == len(reductions) == len(tr.attempts)
+    # only the first attempt reduces the cold basis, tens of bits longer than
+    # its reduction; every later one starts within 2 bits of the previous
+    # reduced basis, which a cold start would not
+    assert reductions[0][0] > reductions[0][1] + 32
+    for (_, prev_out), (now_in, _) in zip(reductions, reductions[1:]):
+        assert now_in <= prev_out + 2
 
 
 def test_check_trace_encloses_each_constant_once(monkeypatch):
