@@ -5,8 +5,7 @@ F(c) = (1 - sqrt(1 - 4/c))/2, and a square a_n forces a coprime splitting
 c = u*v whose near-unit ratio contradicts the growth once n passes a small
 threshold.  Everything real-valued is evaluated with interval arithmetic and
 one-sided rounding: a check only passes when it passes with the worst-case
-rounding, and integer outputs are rounded in the direction that keeps the
-derived statements true.
+rounding, and integer outputs are exact floors of the real values.
 """
 from __future__ import annotations
 
@@ -120,7 +119,7 @@ def stable_iterate_bound(c: int, bits: int | None = None) -> int:
     """Iterate index m such that irreducibility of f^m forces all f^n.
 
     m = 1 + floor(log2(1 + (log 4 + eps(c)/sqrt(c)) / log(1 + 1/sqrt(c)))),
-    rounded so that m never underestimates.
+    with the exact floor of the real value.
     """
     if c < 4:
         raise ValueError("the bound needs c >= 4")
@@ -131,7 +130,7 @@ def stable_iterate_bound(c: int, bits: int | None = None) -> int:
         arg = 1 + (ctx.log(4) + _eps_limit(ctx, c) / rc) / ctx.log(1 + 1 / rc)
         return ctx.log(arg) / ctx.log(2)
 
-    return 1 + rounding.floor_of_upper(build, bits)
+    return 1 + rounding.Enclosure(build, bits).floor()
 
 
 class Decision(Enum):
@@ -284,9 +283,10 @@ def check_split_bounds(c: int, n: int, split: FactorSplit, bits: int = 192) -> b
 def initial_divisor_bound(n: int) -> int:
     """Starting lower bound on |v| in any split forced by a square a_n.
 
-    ((sqrt2 - 1)^(1/N)/theta) * (N/log4 - 3), rounded to the next integer
-    from the certified lower endpoint (sound: |v| strictly exceeds the real
-    value).
+    floor(((sqrt2 - 1)^(1/N)/theta) * (N/log4 - 3)) + 1, the exact floor of
+    the real value plus one (sound: |v| strictly exceeds the real value).
+    The value has about n integer bits, so the enclosure starts at n + 64
+    bits and the first one decides.
     """
     if n < 5:
         raise ValueError("needs n >= 5")
@@ -298,4 +298,4 @@ def initial_divisor_bound(n: int) -> int:
         base = ctx.exp(ctx.log(ctx.sqrt(two) - 1) / N)
         return base / theta * (ctx.mpf(N) / ctx.log(4) - 3)
 
-    return rounding.floor_of_lower(build, 192) + 1
+    return rounding.Enclosure(build, max(192, n + 64)).floor() + 1

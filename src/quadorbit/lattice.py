@@ -10,9 +10,9 @@ lattice turns into a polynomial h with h(|v|) >= 0 for every solution, and
 the integer root window of h pushes the lower bound B0 to roughly B0^2.
 Iterating reaches astronomically large bounds in about log log B passes.
 
-All roundings are half-up and certified through interval arithmetic; every
-pass emits a trace that an independent checker re-verifies from the stored
-integers alone.
+Every rounding is exact (half-up, ceiling or floor of the real value) and
+certified through interval arithmetic; every pass emits a trace that an
+independent checker re-verifies from the stored integers alone.
 """
 from __future__ import annotations
 
@@ -359,29 +359,36 @@ class DivisorBoundCertificate:
         return sum(t.final.doublings for t in self.traces)
 
 
-def _c_exclusion(n: int, B: int, L: rounding.Constant, bits: int = 256) -> int:
+def _c_exclusion(n: int, B: int, L: rounding.Constant) -> int:
+    """floor(xi B^2): one enclosure of xi, from the given L table, scaled
+    exactly by B^2."""
     N = (1 << (n - 1)) - 1
-    return rounding.floor_of_lower(lambda ctx: _xi(ctx, N, L) * B * B,
-                                   max(bits, 2 * B.bit_length() + 64))
+    xi = rounding.Enclosure(lambda ctx: _xi(ctx, N, L), 2 * B.bit_length() + 64)
+    return xi.floor(B * B)
 
 
-def c_exclusion_bound(n: int, B: int, bits: int = 256) -> int:
-    """Certified floor of theta^2 (3 - 2 sqrt 2)^(1/N) B^2."""
-    return _c_exclusion(n, B, _PROVER_L, bits)
+def c_exclusion_bound(n: int, B: int) -> int:
+    """Certified floor of xi B^2, xi = theta^2 (3 - 2 sqrt 2)^(1/N)."""
+    return _c_exclusion(n, B, _PROVER_L)
 
 
 def required_divisor_bound(n: int, x_bound: int) -> int:
-    """Smallest B whose exclusion bound certifies c > x_bound."""
+    """Smallest B whose exclusion bound certifies c > x_bound:
+    B = floor(sqrt(x_bound / xi)) + 1.
+
+    xi^N = 4 (3 - 2 sqrt 2) is irrational, so xi B^2 and sqrt(x_bound / xi)
+    are irrational for integers B, x_bound > 0, and both floors are exact
+    and never meet an integer.  B > sqrt(x_bound / xi) gives
+    xi B^2 > x_bound, so c_exclusion_bound(n, B) >= x_bound; and
+    B - 1 < sqrt(x_bound / xi) gives xi (B - 1)^2 < x_bound, so
+    c_exclusion_bound(n, B - 1) < x_bound.
+    """
     N = (1 << (n - 1)) - 1
 
     def build(ctx):
         return ctx.sqrt(ctx.mpf(x_bound) / _xi(ctx, N, _PROVER_L))
 
-    work = max(256, x_bound.bit_length() + 64)
-    B = rounding.floor_of_upper(build, work) + 1
-    while c_exclusion_bound(n, B, work) < x_bound:
-        B += 1
-    return B
+    return rounding.Enclosure(build, x_bound.bit_length() + 64).floor() + 1
 
 
 def prove_divisor_bound(n: int, target_bound: int) -> DivisorBoundCertificate:
@@ -563,10 +570,16 @@ def check_stab_certificate(cert: StabCertificate) -> None:
             if initial_divisor_bound(e.prime) != e.initial_bound:
                 raise TraceError(f"initial bound mismatch at p={e.prime}")
         else:
+            # check_divisor_certificate recomputes the certificate's initial
+            # bound, which the entry's must equal
             if e.certificate.n != e.prime or \
-                    e.certificate.target_bound != e.required_bound:
+                    e.certificate.target_bound != e.required_bound or \
+                    e.certificate.initial_bound != e.initial_bound:
                 raise TraceError(f"certificate mismatch at p={e.prime}")
             check_divisor_certificate(e.certificate)
+    if cert.gamma_doublings != sum(e.certificate.gamma_doublings for e in cert.entries
+                                   if e.certificate is not None):
+        raise TraceError("gamma doublings do not match the traces")
     for c, sc in cert.small_c:
         verify_sieve_certificate(sc, c, NumeratorTarget())
         if sc.start > 3:

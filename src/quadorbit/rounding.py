@@ -5,14 +5,16 @@ for a floating approximation.  Callers pass a *builder*: a function taking an
 interval context and returning an interval enclosure of the quantity of
 interest.  Builders evaluate in the one shared context of iv_context, set to
 the working precision; a builder returns its enclosure before any other
-iv_context call.  If the enclosure is too wide to decide the question, the
-working precision is doubled and the expression rebuilt, up to a hard cap.
+iv_context call.  Every integer rounding goes through an Enclosure, and is
+exact or raises PrecisionExhausted: when the enclosure is too wide to decide
+it, the precision is doubled and the expression rebuilt, and past MAX_BITS
+it raises rather than settle on an endpoint.  interval_fractions is the one
+fixed-precision enclosure, for one-sided tests that may fail to decide.
 A Constant keeps one enclosure of a fixed real, in a context of its own, for
 builders that use that real at many precisions.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable
 
@@ -66,47 +68,13 @@ def iv_endpoints(x) -> tuple[Fraction, Fraction]:
     return _mpf_to_fraction(lo), _mpf_to_fraction(hi)
 
 
-def _refine(build: Builder, pick, bits: int | None, max_bits: int, settle=None):
-    """pick(lo, hi) at doubling precisions until it decides.
-
-    Past max_bits, return settle(lo, hi) of the last enclosure, or raise
-    PrecisionExhausted when no settle is given.
-    """
-    bits = bits or DEFAULT_BITS
-    while bits <= max_bits:
-        lo, hi = iv_endpoints(build(iv_context(bits)))
-        res = pick(lo, hi)
-        if res is not None:
-            return res
-        bits *= 2
-    if settle is not None:
-        return settle(lo, hi)
-    raise PrecisionExhausted(f"undecided at {max_bits} bits")
-
-
-def _same_floor(lo, hi):
-    a = math.floor(lo)
-    return a if a == math.floor(hi) else None
-
-
-def floor_of_upper(build: Builder, bits: int | None = None) -> int:
-    """floor(hi) after up to four precisions (bits .. 8 bits).
-
-    Sound whenever an over-estimate is the safe direction; the extra
-    precisions only sharpen the answer.
-    """
-    bits = bits or DEFAULT_BITS
-    return _refine(build, _same_floor, bits, 8 * bits, lambda lo, hi: math.floor(hi))
-
-
-def floor_of_lower(build: Builder, bits: int | None = None) -> int:
-    """floor(lo); the safe direction when an under-estimate is sound."""
-    bits = bits or DEFAULT_BITS
-    return _refine(build, _same_floor, bits, 8 * bits, lambda lo, hi: math.floor(lo))
-
-
 def interval_fractions(build: Builder, bits: int | None = None) -> tuple[Fraction, Fraction]:
     return iv_endpoints(build(iv_context(bits or DEFAULT_BITS)))
+
+
+def _floor_shifted(num: int, shift: int) -> int:
+    """floor(num / 2^shift)."""
+    return num >> shift
 
 
 def _floor_half_up(num: int, shift: int) -> int:
@@ -155,9 +123,9 @@ class Enclosure:
     The dyadic endpoints are kept as integers over one power of two, so each
     rounding is a product and a shift; squaring the enclosure needs lo > 0.
     A rounding the enclosure cannot decide doubles its precision and rebuilds
-    it, as _refine does, and later roundings reuse the sharper enclosure.
-    Every decided result is the exact rounding of the true value, whatever
-    the precision that decided it.
+    it, and later roundings reuse the sharper enclosure; past MAX_BITS it
+    raises PrecisionExhausted.  Every result is the exact rounding of the
+    true value, whatever the precision that decided it.
     """
 
     def __init__(self, build: Builder, bits: int):
@@ -182,6 +150,10 @@ class Enclosure:
                     return a
             self._bits *= 2
             self._enclose()
+
+    def floor(self, scale: int = 1, power: int = 1) -> int:
+        """Floor of x^power * scale."""
+        return self._decide(_floor_shifted, scale, power)
 
     def nearest(self, scale: int, power: int = 1) -> int:
         """Half-up nearest integer of x^power * scale: floor(. + 1/2)."""

@@ -178,25 +178,21 @@ def test_initial_divisor_bound():
     assert initial_divisor_bound(15) > (1 << 13) / math.log(4) * 0.9
 
 
-def test_initial_divisor_bound_fallback_is_pinned_and_sound():
-    # from p = 1543 on, the real value has more bits than the 8 * 192 the
-    # rounding tries, so it settles on floor(lo) + 1 of a 1536-bit enclosure:
-    # below the exact floor plus one (sound), by a precision-dependent gap
-    # that certificates carry and that is pinned here
-    shortfall = {1531: 0, 1543: 384, 1657: 8096881061444263108207933156727915633}
+def test_initial_divisor_bound_is_exact():
+    # the exact floor plus one, against an 8192-bit reference, on both sides
+    # of p = 1543, where the value first has more bits than a 1536-bit
+    # enclosure can round: the rounding refines rather than settle
     ctx = MPIntervalContext()
     ctx.prec = 8192
     two = ctx.mpf(2)
-    for p, gap in shortfall.items():
+    for p in (1531, 1543, 1657):
         N = (1 << (p - 1)) - 1
         x = ctx.exp(ctx.log(ctx.sqrt(two) - 1) / N) / ctx.exp(ctx.log(two) / N) \
             * (ctx.mpf(N) / ctx.log(4) - 3)
         lo, hi = rounding.iv_endpoints(x)
         exact = math.floor(lo)
         assert exact == math.floor(hi)
-        b = initial_divisor_bound(p)
-        assert b <= exact + 1
-        assert exact + 1 - b == gap
+        assert initial_divisor_bound(p) == exact + 1
 
 
 def test_split_search_examples():

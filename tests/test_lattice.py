@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
 from quadorbit import bounds, lattice, rounding
+from quadorbit.primes import primes_to
 from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                TraceError, c_exclusion_bound, check_divisor_certificate,
                                check_stab_certificate, check_trace, closest_points,
@@ -42,6 +44,14 @@ def _nearest_int(build, bits=128):
 def _ceil_int(build, bits=128):
     def pick(lo, hi):
         a, b = math.ceil(lo), math.ceil(hi)
+        return a if a == b else None
+
+    return _refined(build, pick, bits)
+
+
+def _floor_int(build, bits=128):
+    def pick(lo, hi):
+        a, b = math.floor(lo), math.floor(hi)
         return a if a == b else None
 
     return _refined(build, pick, bits)
@@ -85,6 +95,42 @@ def test_shared_constant_formulas_enclose_the_old_ones():
             for new, old in pairs:
                 (a, b), (c, d) = rounding.iv_endpoints(new), rounding.iv_endpoints(old)
                 assert a <= d and c <= b
+
+
+@st.composite
+def _scaled_powers(draw):
+    """(build, power): x = +-a^(1/4) / b as a builder, with a between two
+    squares so that x and x^2 are irrational, and a power; squaring needs
+    x > 0.  Built from square roots and divisions, which mpmath rounds
+    correctly in each direction (its exp is not correctly rounded: at 125
+    bits it encloses exp(205 / 2^100) in the point 1 + 205 / 2^100)."""
+    power = draw(st.sampled_from((1, 2)))
+    sign = 1 if power == 2 else draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(1, 1 << 200))
+    a = k * k + draw(st.integers(1, 2 * k))
+    b = draw(st.integers(1, 1 << 100))
+    return (lambda ctx: sign * ctx.sqrt(ctx.sqrt(ctx.mpf(a))) / b), power
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_powers(), st.one_of(st.integers(1, 16), st.integers(1, 1 << 4000)),
+       st.integers(8, 300))
+def test_enclosure_floor_matches_reference(real, scale, bits):
+    # exact floors of x^power * scale from one enclosure, whatever precision
+    # it starts at; a later rounding reuses the refined enclosure
+    build, power = real
+    enc = rounding.Enclosure(build, bits)
+    assert enc.floor(scale, power) == _floor_int(lambda ctx: build(ctx) ** power * scale)
+    assert enc.floor() == _floor_int(build)
+
+
+def test_enclosure_floor_raises_rather_than_settling(monkeypatch):
+    # 1/3 * 3 is the integer 1: every enclosure of it straddles 1, so no
+    # precision decides its floor, and the rounding raises at the cap
+    monkeypatch.setattr(rounding, "MAX_BITS", 1024)
+    enc = rounding.Enclosure(lambda ctx: ctx.mpf(1) / 3 * 3, 64)
+    with pytest.raises(rounding.PrecisionExhausted):
+        enc.floor()
 
 
 def test_lagrange_reduction_tracks_coefficients():
@@ -551,9 +597,20 @@ def test_exclusion_bound_scaling():
     B = 10 ** 6
     excl = c_exclusion_bound(5, B)
     assert 0.9 * B * B < excl < B * B
-    req = required_divisor_bound(5, 10 ** 9)
-    assert c_exclusion_bound(5, req) >= 10 ** 9
-    assert c_exclusion_bound(5, req - 1) < 10 ** 9
+    # the required bound is the least B whose exclusion bound reaches X
+    for n in (5, 7, 13, 499, 1657):
+        for X in (10 ** 9, 10 ** 100, 10 ** 1000):
+            req = required_divisor_bound(n, X)
+            assert c_exclusion_bound(n, req) >= X > c_exclusion_bound(n, req - 1)
+
+
+def test_rounding_layer_digest_at_1e1000():
+    # every initial and required bound a 10^1000 certificate rests on; a
+    # change to any stab rounding changes this digest and must be declared
+    rows = [(p, bounds.initial_divisor_bound(p), required_divisor_bound(p, 10 ** 1000))
+            for p in primes_to(1662) if p >= 5]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "bb0aa2f5e31192e4cccd4928d6708d1045aeff6010c9cc508dd0038d7ecc1846"
 
 
 def test_stab_verification_small():
@@ -566,6 +623,26 @@ def test_stab_verification_small():
     for c, sc in cert.small_c:
         verify_sieve_certificate(sc, c, NumeratorTarget())
     assert [sc.p for _, sc in cert.small_c] == [3, 5, 11, 3]
+
+
+@pytest.fixture(scope="module")
+def stab_e100():
+    return verify_no_squares_up_to(10 ** 100)
+
+
+def test_stab_checker_rejects_a_moved_initial_bound_on_an_escalated_entry(stab_e100):
+    e = stab_e100.entries[0]
+    assert e.prime == 5 and e.certificate is not None
+    moved = replace(e, initial_bound=e.initial_bound + 12345)
+    with pytest.raises(TraceError):
+        check_stab_certificate(replace(stab_e100, entries=(moved,) + stab_e100.entries[1:]))
+
+
+def test_stab_checker_rejects_moved_gamma_doublings(stab_e100):
+    check_stab_certificate(stab_e100)
+    with pytest.raises(TraceError):
+        check_stab_certificate(replace(stab_e100,
+                                       gamma_doublings=stab_e100.gamma_doublings + 7))
 
 
 def test_stab_certificate_checker_rejects_gaps():
