@@ -4,11 +4,14 @@ Every integer c outside {0, -1} lands in exactly one of seven classes with
 a predicted profile of irreducible-factor counts k_n for the iterates.  The
 verifier assembles, per irreducible factor, a chain of certificates (sign
 arguments, exact non-square values, modular sieve certificates, congruence
-rules, size bounds, lattice certificates) proving the predicted profile,
-and every chain is re-checkable offline without re-running any search.
+rules, size bounds, lattice certificates) proving the predicted profile.
+The case table _TRACKS is also the checker: recheck_report rebuilds each
+track by its builder from the track's own chain, re-deriving each search
+answer the chain records without re-running any search.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -21,10 +24,10 @@ from .bounds import (square_split_inequality, stable_iterate_bound,
 from .factors import (FactorPoly, SPECIAL_S, build_pattern,
                       negative_square_parameter, obstruction,
                       quartic_form_parameter)
-from .orbit import (critical_numerators, is_perfect_square, is_rational_square,
-                    isqrt_if_square)
+from .orbit import (BitBudgetExceeded, critical_numerators, is_perfect_square,
+                    is_rational_square, isqrt_if_square)
 from .primes import FactorizationBudget, primes_to
-from .sieve import (FactorTarget, NumeratorTarget, SieveCertificate, TermUnresolved,
+from .sieve import (FactorTarget, SieveCertificate, TermUnresolved,
                     certificate_at_prime, check_term_nonsquare,
                     find_sieve_certificate, jacobi, load_static_congruence_table,
                     match_congruence_rows, match_fixed_rules, verify_m_rule,
@@ -103,20 +106,19 @@ PINNED_SIEVE_PRIMES: dict[tuple[int, str], int] = {
 
 # primes tried for a Jacobi witness when a residual term is too big to test exactly
 RESIDUAL_PRIME_BUDGET = 100
+# largest prime a sieve certificate search tries; it returns the smallest that qualifies
+SIEVE_PRIME_CAP = 1201
 
 
 @dataclass
 class Effort:
-    p_max_schedule: tuple[int, ...] = (500, 1201)
     exact_bit_budget: int = 1 << 20
     lattice_pool: dict[int, Any] | None = None   # prime -> DivisorBoundCertificate
 
-    @staticmethod
-    def fast() -> "Effort":
-        return Effort(p_max_schedule=(500,), exact_bit_budget=1 << 16)
-
 
 Cert = dict[str, Any]
+Chain = list[Cert] | None     # a track's recorded chain; None while classifying
+Factors = dict[str, FactorPoly]
 
 
 @dataclass
@@ -157,6 +159,28 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _pick(chain: Chain, kind: str | tuple[str, ...], search: Callable[[], Cert | None],
+          check: Callable[[Cert], bool], index: int | None = None) -> Cert | None:
+    """One search answer of the track being built.  With no chain, search();
+    else the chain's first certificate of this kind (or kinds) and index, once
+    check re-derives it without a search, or None when the chain has none."""
+    if chain is None:
+        return search()
+    kinds = (kind,) if isinstance(kind, str) else kind
+    for cert in chain:
+        if cert["kind"] in kinds and (index is None or cert["index"] == index):
+            if not check(cert):
+                raise AssertionError(f"certificate failed recheck: {cert}")
+            return cert
+    return None
+
+
+def _pick_predicate(chain: Chain, kind: str, holds: Callable[[int], bool], c: int) -> Cert | None:
+    """A certificate that is its kind alone, standing for holds(c)."""
+    return _pick(chain, kind, lambda: {"kind": kind} if holds(c) else None,
+                 lambda cert: holds(c))
+
+
 def _exact_nonsquare_cert(label: str, n: int, value: Fraction) -> Cert | None:
     """Exact non-square certificate, or None when the value is a square."""
     if is_rational_square(value):
@@ -165,8 +189,8 @@ def _exact_nonsquare_cert(label: str, n: int, value: Fraction) -> Cert | None:
             "value": _frac(value)}
 
 
-def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort,
-                 head_certs: list[Cert]) -> TrackReport:
+def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort | None,
+                 head_certs: list[Cert], chain: Chain) -> TrackReport:
     """Track proved by a sieve certificate plus residual checks below its start.
 
     first_index is the first sequence index the track must cover (1 when the
@@ -175,58 +199,90 @@ def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort,
     """
     target = FactorTarget(g)
     claim = f"{g.name}(f^n(x)) irreducible for all n"
-    pin = PINNED_SIEVE_PRIMES.get((c, g.name))
-    cert = certificate_at_prime(c, target, pin) if pin is not None else None
-    if cert is None:
-        for p_max in effort.p_max_schedule:
-            cert = find_sieve_certificate(c, target, p_max,
-                                          max_values=None if g.name == "h12" else 2)
-            if cert is not None:
-                break
-    certs = list(head_certs)
-    if cert is None:
-        return TrackReport(g.name, claim, certs, "CONDITIONAL",
-                           "no sieve certificate within the prime schedule")
-    certs.append({"kind": "sieve", "p": cert.p, "start": cert.start,
-                  "cycle_kind": cert.kind, "values": list(cert.values),
-                  "target": cert.target})
-    unresolved: list[int] = []
-    for n in range(first_index, cert.start):
+
+    def search() -> Cert | None:
+        pin = PINNED_SIEVE_PRIMES.get((c, g.name))
+        sc = certificate_at_prime(c, target, pin) if pin is not None else None
+        if sc is None:
+            sc = find_sieve_certificate(c, target, SIEVE_PRIME_CAP,
+                                        max_values=None if g.name == "h12" else 2)
+        if sc is None:
+            return None
+        return {"kind": "sieve", "p": sc.p, "start": sc.start, "cycle_kind": sc.kind,
+                "values": list(sc.values), "target": sc.target}
+
+    def check(cert: Cert) -> bool:
+        verify_sieve_certificate(SieveCertificate(
+            cert["p"], cert["start"], cert["cycle_kind"], tuple(cert["values"]),
+            cert["target"]), c, target)
+        return cert["target"] == target.describe(c)
+
+    def residual_cert(n: int) -> Cert | None:
+        # witness kind "square" when the term is a square; None when unresolved
         try:
             tc = check_term_nonsquare(c, target, n, RESIDUAL_PRIME_BUDGET,
                                       effort.exact_bit_budget)
         except TermUnresolved:
+            return None
+        return {"kind": "residual", "target": g.name, "index": n,
+                "witness_kind": tc.witness_kind, "witness": tc.witness}
+
+    def residual_holds(cert: Cert) -> bool:
+        n, witness_kind = cert["index"], cert["witness_kind"]
+        if witness_kind == "jacobi":
+            p = cert["witness"]
+            return cert["target"] == g.name and jacobi(target.reduce(c, p).value(n), p) == -1
+        tc = check_term_nonsquare(c, target, n, prime_budget=0)
+        return cert["target"] == g.name and tc.nonsquare and tc.witness_kind == witness_kind
+
+    certs = list(head_certs)
+    sieve = _pick(chain, "sieve", search, check)
+    if sieve is None:
+        return TrackReport(g.name, claim, certs, "CONDITIONAL",
+                           "no sieve certificate within the prime schedule")
+    certs.append(sieve)
+    unresolved: list[int] = []
+    for n in range(first_index, sieve["start"]):
+        residual = _pick(chain, "residual", lambda: residual_cert(n), residual_holds, n)
+        if residual is None:
             unresolved.append(n)
             continue
-        if not tc.nonsquare:
+        if residual["witness_kind"] == "square":
             return TrackReport(g.name, claim, certs, "FAILED",
                                "a composition value is an exact square")
-        certs.append({"kind": "residual", "target": g.name, "index": n,
-                      "witness_kind": tc.witness_kind, "witness": tc.witness})
+        certs.append(residual)
     if unresolved:
         return TrackReport(g.name, claim, certs, "CONDITIONAL",
                            f"indices {unresolved} unresolved within budget")
     return TrackReport(g.name, claim, certs, "VERIFIED")
 
 
-def _negative_values_cert(g: FactorPoly, from_index: int) -> Cert:
-    # linear factor x - a with a >= 0 stays negative on the orbit interval
+def _negative_values_cert(c: int, g: FactorPoly, from_index: int) -> Cert:
+    # linear factor x - a with a >= 0: negative on the orbit interval
+    # (-1/m, 0), which the map preserves for c <= -4
+    root = -g.coeffs[0]
+    if not (g.degree == 1 and root >= 0 and c <= -4 and all(
+            obstruction(g, c, n).value < 0 for n in range(max(2, from_index), from_index + 3))):
+        raise AssertionError(f"{g.name} is not negative along the orbit")
     return {"kind": "negative-values", "factor": g.name, "from_index": from_index,
-            "root": _frac(-g.coeffs[0])}
+            "root": _frac(root)}
 
 
 def _negative_obstruction_cert(c: int, g: FactorPoly) -> Cert:
+    value = obstruction(g, c, 1).value
+    if value >= 0:
+        raise AssertionError(f"the index-1 obstruction of {g.name} is not negative")
     return {"kind": "negative-obstruction", "target": g.name, "index": 1,
-            "value": _frac(obstruction(g, c, 1).value)}
+            "value": _frac(value)}
 
 
 # --- the case table -----------------------------------------------------------
-# A builder proves one track: builder(c, verdict, factors, name, effort), with
-# factors the named factor pattern of c ({} in the stable case) and name the
-# track's factor.
+# A builder proves one track: builder(c, verdict, factors, name, effort, chain),
+# with factors the named factor pattern of c ({} in the stable case) and name
+# the track's factor.  Rechecking passes the track's chain and no effort.
 
-def _pattern_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-                   name: str, effort: Effort) -> TrackReport:
+def _pattern_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+                   effort: Effort | None, chain: Chain = None) -> TrackReport:
     """f (cases 1-4) or f^2 (cases 5, 6) is the product of the named factors;
     f itself stays irreducible in the quartic-form cases by the case shape."""
     certs = [{"kind": "factor-pattern", "names": sorted(factors)}]
@@ -238,101 +294,135 @@ def _pattern_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
 def _linear_track(from_index: int):
     """Builder for a linear factor: a non-square obstruction at index 1, then
     negative values along the orbit from from_index on."""
-    def build(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-              name: str, effort: Effort) -> TrackReport:
+    def build(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+              effort: Effort | None, chain: Chain = None) -> TrackReport:
         g = factors[name]
         # (m+1)/m^2, (s^3-s+1)/m^2 or (m t+1)/m^2, non-square in these cases
         cert = _exact_nonsquare_cert(name, 1, obstruction(g, c, 1).value)
-        assert cert is not None
+        if cert is None:
+            raise AssertionError(f"the index-1 obstruction of {name} is a square")
         return TrackReport(name, f"{name}(f^n(x)) irreducible for all n",
-                           [cert, _negative_values_cert(g, from_index)], "VERIFIED")
+                           [cert, _negative_values_cert(c, g, from_index)], "VERIFIED")
     return build
 
 
-def _sieve_after_obstruction(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-                             name: str, effort: Effort) -> TrackReport:
+def _sieve_after_obstruction(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+                             effort: Effort | None, chain: Chain = None) -> TrackReport:
     g = factors[name]
-    return _sieve_track(c, g, 2, effort, [_negative_obstruction_cert(c, g)])
+    return _sieve_track(c, g, 2, effort, [_negative_obstruction_cert(c, g)], chain)
 
 
-def _sieve_after_discriminant(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-                              name: str, effort: Effort) -> TrackReport:
+def _sieve_after_discriminant(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+                              effort: Effort | None, chain: Chain = None) -> TrackReport:
     g = factors[name]
-    head = [{"kind": "negative-discriminant", "factor": name,
-             "value": _frac(g.coeffs[1] ** 2 - 4 * g.coeffs[0])}]
-    return _sieve_track(c, g, 1, effort, head)
+    disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
+    if disc >= 0:
+        raise AssertionError(f"{name} has no negative discriminant")
+    head = [{"kind": "negative-discriminant", "factor": name, "value": _frac(disc)}]
+    return _sieve_track(c, g, 1, effort, head, chain)
 
 
-def _g2_sign_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-                   name: str, effort: Effort) -> TrackReport:
+def _g2_sign_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+                   effort: Effort | None, chain: Chain = None) -> TrackReport:
     # m = 4: g2 composed once stays irreducible by sign; the second composition
     # splits into g21 * g22, which carry their own tracks
     return TrackReport(name, "g2(f(x)) irreducible",
                        [_negative_obstruction_cert(c, factors[name])], "VERIFIED")
 
 
-def _g2_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-              name: str, effort: Effort) -> TrackReport:
+def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+              effort: Effort | None, chain: Chain = None) -> TrackReport:
     """The x + 1/m factor: fixed congruence rules first, sieve search as fallback."""
     m, g2 = verdict.m, factors[name]
-    claim = "g2(f^n(x)) irreducible for all n"
     head = [_negative_obstruction_cert(c, g2)]
     w3_cert = _exact_nonsquare_cert("g2", 2, obstruction(g2, c, 2).value)  # (m^3-m^2+1)/m^4
     m1_cert = _exact_nonsquare_cert("m-1", 0, Fraction(m - 1))
 
-    def verified(rule_certs: list[Cert], needs_m1: bool) -> TrackReport:
-        if needs_m1:
-            rule_certs += [m1_cert, {"kind": "rigid-divisibility", "through": "w2"}]
-        return TrackReport(name, claim, head + rule_certs, "VERIFIED")
+    def search() -> Cert | None:
+        # the first rule the check accepts; the list rules come first, so
+        # m+1 is factored only when none verifies
+        primes: list[Cert] = []
+        for rule in match_fixed_rules(m=m):
+            if rule.family == "m-neg-one-prime":
+                primes.append({"kind": rule.family, "p": rule.modulus, "mod8": rule.modulus % 8})
+                continue
+            # published rows sometimes verify only with the conditional
+            # exemptions; try the unconditional reading first, then widen.
+            # w3 is a square only for m = 4, which has its own case.
+            for needs in [True] if rule.requires_nonsquare == "m-1" else [False, True]:
+                cert = {"kind": "m-congruence", "modulus": rule.modulus,
+                        "residue": rule.residue, "needs_m_minus_1": needs}
+                if check(cert):
+                    return cert
+        # a prime 7 (mod 8) needs no hypothesis on m-1, so it goes first
+        return min(filter(check, primes), key=lambda k: (k["mod8"] == 3, k["p"]), default=None)
 
-    # the list rules come first, so m+1 is factored only when none verifies
-    primes: list[int] = []
-    for rule in match_fixed_rules(m=m):
-        needs_m1 = rule.requires_nonsquare == "m-1"
-        if rule.family == "m-neg-one-prime":
-            if m1_cert is not None or not needs_m1:
-                primes.append(rule.modulus)
-            continue
-        # published rows sometimes verify only with the conditional
-        # exemptions; try the unconditional reading first, then widen.
-        # w3 is a square only for m = 4, which has its own case.
-        for needs in [True] if needs_m1 else [False, True]:
-            if w3_cert is not None and (m1_cert is not None or not needs) \
-                    and verify_m_rule(rule.modulus, rule.residue, needs):
-                return verified([{"kind": "m-congruence", "modulus": rule.modulus,
-                                  "residue": rule.residue, "needs_m_minus_1": needs},
-                                 w3_cert, {"kind": "rigid-divisibility", "through": "w3"}],
-                                needs)
-    if primes:   # a prime 7 (mod 8) needs no hypothesis on m-1, so it goes first
-        p = min(primes, key=lambda q: (q % 8 == 3, q))
-        return verified([{"kind": "m-neg-one-prime", "p": p, "mod8": p % 8}], p % 8 == 3)
-    return _sieve_track(c, g2, 2, effort, head)
+    def check(cert: Cert) -> bool:
+        if cert["kind"] == "m-congruence":
+            k, r, needs = cert["modulus"], cert["residue"], cert["needs_m_minus_1"]
+            return m % k == r and w3_cert is not None \
+                and (m1_cert is not None or not needs) and verify_m_rule(k, r, needs)
+        p = cert["p"]
+        return (m + 1) % p == 0 and cert["mod8"] == p % 8 \
+            and (p % 8 == 7 or p % 8 == 3 and m1_cert is not None) and _is_prime_small(p)
+
+    rule = _pick(chain, ("m-congruence", "m-neg-one-prime"), search, check)
+    if rule is None:
+        return _sieve_track(c, g2, 2, effort, head, chain)
+    if rule["kind"] == "m-congruence":
+        certs = [rule, w3_cert, {"kind": "rigid-divisibility", "through": "w3"}]
+        needs_m1 = rule["needs_m_minus_1"]
+    else:
+        certs, needs_m1 = [rule], rule["p"] % 8 == 3
+    if needs_m1:
+        certs += [m1_cert, {"kind": "rigid-divisibility", "through": "w2"}]
+    return TrackReport(name, "g2(f^n(x)) irreducible for all n", head + certs, "VERIFIED")
 
 
-_STATIC_TABLE = None
 # producer-side memo of verify_row_coverage, a pure function of the table
 # row; the checker recomputes the coverage for every certificate it reads
 _ROW_COVERAGE: dict[tuple[int, int], str | None] = {}
 
 
+@functools.cache
 def _static_table():
-    global _STATIC_TABLE
-    if _STATIC_TABLE is None:
-        _STATIC_TABLE = load_static_congruence_table()
-    return _STATIC_TABLE
+    return load_static_congruence_table()
 
 
-def _row_coverage(k: int, r: int) -> str | None:
-    if (k, r) not in _ROW_COVERAGE:
-        _ROW_COVERAGE[(k, r)] = verify_row_coverage(k, r)
-    return _ROW_COVERAGE[(k, r)]
+def _neg_one_prime_cert(c: int) -> Cert | None:
+    try:
+        ps = [rule.modulus for rule in match_fixed_rules(c=c)]
+    except FactorizationBudget:
+        return None
+    return {"kind": "neg-one-prime", "p": min(ps)} if ps else None
+
+
+def _neg_one_prime_holds(c: int, cert: Cert) -> bool:
+    p = cert["p"]   # divisibility first: it bounds the trial division by c + 1
+    return (c + 1) % p == 0 and p % 4 == 3 and _is_prime_small(p)
+
+
+def _table_row_cert(c: int) -> Cert | None:
+    for k, r in match_congruence_rows(c, _static_table()):
+        if (k, r) not in _ROW_COVERAGE:
+            _ROW_COVERAGE[(k, r)] = verify_row_coverage(k, r)
+        if _ROW_COVERAGE[(k, r)]:
+            return {"kind": "table-congruence", "modulus": k, "residue": r,
+                    "coverage": _ROW_COVERAGE[(k, r)]}
+    return None
+
+
+def _table_row_holds(c: int, cert: Cert) -> bool:
+    k, r = cert["modulus"], cert["residue"]
+    return c % k == r and r in _static_table().rows.get(k, ()) \
+        and cert["coverage"] is not None and verify_row_coverage(k, r) == cert["coverage"]
 
 
 def _estimated_bits(c: int, n: int) -> int:
     return ((1 << (n - 1)) - 1) * max(1, abs(c).bit_length()) + 8
 
 
-def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert | None:
+def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert:
     """Certify a_p(c) non-square: exact when small, lattice otherwise."""
     if _estimated_bits(c, p) <= effort.exact_bit_budget:
         a_p = critical_numerators(c, p, effort.exact_bit_budget * 2)[-1]
@@ -350,8 +440,16 @@ def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert | None:
     return {"kind": "prime-lattice", "index": p, "certificate": cert}
 
 
-def _stable_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
-                  name: str, effort: Effort) -> TrackReport:
+def _prime_fact_holds(c: int, p: int, cert: Cert) -> bool:
+    if cert["kind"] == "prime-exact":
+        return not is_perfect_square(critical_numerators(c, p)[-1])
+    dc = cert["certificate"]
+    lattice_mod.check_divisor_certificate(dc)
+    return dc.n == p and dc.c_exclusion >= c
+
+
+def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
+                  effort: Effort | None, chain: Chain = None) -> TrackReport:
     """Case 7: one track for f itself, by the first route that applies."""
     claim = "f^n(x) irreducible for all n"
     certs: list[Cert] = [{"kind": "case-detection", "case": 7}]
@@ -363,31 +461,23 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
         return TrackReport(name, claim, certs, "VERIFIED")
     c1_cert = _exact_nonsquare_cert("a_n", 2, Fraction(c + 1))
     if c1_cert is not None:
-        try:
-            ps = [rule.modulus for rule in match_fixed_rules(c=c)]
-        except FactorizationBudget:
-            ps = []
-        if ps:
-            certs += [{"kind": "neg-one-prime", "p": min(ps)}, c1_cert,
-                      {"kind": "rigid-divisibility", "through": "a2"}]
+        rule = _pick(chain, "neg-one-prime", lambda: _neg_one_prime_cert(c),
+                     lambda k: _neg_one_prime_holds(c, k)) \
+            or _pick(chain, "table-congruence", lambda: _table_row_cert(c),
+                     lambda k: _table_row_holds(c, k))
+        if rule is not None:
+            certs += [rule, c1_cert, {"kind": "rigid-divisibility", "through": "a2"}]
             return TrackReport(name, claim, certs, "VERIFIED")
-        for k, r in match_congruence_rows(c, _static_table()):
-            coverage = _row_coverage(k, r)
-            if coverage:
-                certs += [{"kind": "table-congruence", "modulus": k, "residue": r,
-                           "coverage": coverage}, c1_cert,
-                          {"kind": "rigid-divisibility", "through": "a2"}]
-                return TrackReport(name, claim, certs, "VERIFIED")
     if c >= 4:
         try:
-            if valuation_split_inequality(c):
-                certs.append({"kind": "split-inequality"})
-                return TrackReport(name, claim, certs, "VERIFIED")
-            if is_perfect_square(c) and square_split_inequality(c):
-                certs.append({"kind": "square-split-inequality"})
-                return TrackReport(name, claim, certs, "VERIFIED")
+            split = _pick_predicate(chain, "split-inequality", valuation_split_inequality, c) \
+                or is_perfect_square(c) and _pick_predicate(
+                    chain, "square-split-inequality", square_split_inequality, c)
         except FactorizationBudget:
-            pass
+            split = None
+        if split:
+            certs.append(split)
+            return TrackReport(name, claim, certs, "VERIFIED")
         m_bound = stable_iterate_bound(c)
         certs.append({"kind": "iterate-bound", "m": m_bound})
         small = [3, 4]
@@ -401,7 +491,9 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: dict[str, FactorPoly],
         for p in primes_to(m_bound):
             if p < 5:
                 continue
-            cert = _prime_fact_cert(c, p, effort)
+            cert = _pick(chain, ("prime-exact", "prime-lattice"),
+                         lambda: _prime_fact_cert(c, p, effort),
+                         lambda k: _prime_fact_holds(c, p, k), p)
             if cert is None:
                 return TrackReport(name, claim, certs, "CONDITIONAL",
                                    f"prime index {p} unresolved")
@@ -486,149 +578,42 @@ def verify_range(c_lo: int, c_hi: int, effort: Effort | None = None,
 
 # --- offline rechecking ------------------------------------------------------
 
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
-def _factor_by_name(c: int, name: str) -> FactorPoly:
-    for g in build_pattern(c):
-        if g.name == name:
-            return g
-    raise AssertionError(f"factor {name} not in the pattern for c={c}")
-
-
-def _target_by_label(c: int, label: str):
-    if label == "a_n" or label.startswith("a_n"):
-        return NumeratorTarget()
-    return FactorTarget(_factor_by_name(c, label))
-
-
-# What a certificate field of the wrong type or form raises on its way
-# through _recheck_cert (a missing field raises KeyError).
-_MALFORMED = (AttributeError, IndexError, TypeError, ValueError, ZeroDivisionError)
+# what a missing or malformed field, or a witness too large to confirm, raises
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
+              ZeroDivisionError, BitBudgetExceeded, TermUnresolved)
 
 
 def recheck_report(report: VerificationReport) -> None:
-    """Re-verify every certificate in the report; raises AssertionError.
+    """Re-verify a report by replaying the case table; raises AssertionError.
 
-    The report's status must be the one its track statuses combine to, so
-    a track that is not VERIFIED cannot hide behind a VERIFIED report.  A
-    missing or malformed certificate field is a rejection, not a crash.
+    Verdict, profile and track names must be the case table's, and the
+    status the one the track statuses combine to.  Each VERIFIED track is
+    rebuilt by its builder from its own chain and must equal the stored
+    one, so a chain that skips or adds a step of its argument is rejected.
     """
     c = report.c
     verdict = detect_case(c)
-    if verdict != report.verdict:
-        raise AssertionError("case verdict mismatch")
+    profile = _PROFILES[verdict.case_id]   # the same object unless copied
+    if verdict != report.verdict or report.profile is not profile and report.profile != profile:
+        raise AssertionError("case verdict or profile mismatch")
     rows = _TRACKS[verdict.case_id]
     if len(report.tracks) != len(rows):
         raise AssertionError("tracks differ from the case table")
     if report.status != _combine(report.tracks):
         raise AssertionError("report status disagrees with its tracks")
-    for track, (name, _) in zip(report.tracks, rows):
+    factors = {} if verdict.case_id is CaseId.STABLE else {g.name: g for g in build_pattern(c)}
+    for track, (name, build) in zip(report.tracks, rows):
         if track.factor != name:
             raise AssertionError("tracks differ from the case table")
         if track.status != "VERIFIED":
             continue
-        for cert in track.certificates:
-            try:
-                _recheck_cert(c, verdict, cert)
-            except KeyError as exc:
-                raise AssertionError(f"certificate lacks field {exc}: {cert}") from exc
-            except _MALFORMED as exc:
-                raise AssertionError(f"malformed certificate ({exc!r}): {cert}") from exc
-
-
-def _recheck_cert(c: int, verdict: CaseVerdict, cert: Cert) -> None:
-    kind = cert["kind"]
-    ok = True
-    if kind == "case-detection":
-        ok = cert["case"] == int(verdict.case_id)
-    elif kind == "factor-pattern":
-        ok = sorted(g.name for g in build_pattern(c)) == cert["names"]
-    elif kind == "negative-orbit":
-        ok = c <= -2
-    elif kind == "odd-two-adic":
-        ok = c > 0 and c % 2 == 1
-    elif kind == "exact-nonsquare":
-        v, target, n = _parse_frac(cert["value"]), cert["target"], cert["index"]
-        if target == "a_n":
-            ok = v == c + 1 and n == 2
-        elif target == "m-1":
-            ok = verdict.m is not None and v == verdict.m - 1 and n == 0
-        else:
-            ok = n >= 1 and obstruction(_factor_by_name(c, target), c, n).value == v
-        ok = ok and not is_rational_square(v)
-    elif kind == "negative-obstruction":
-        g = _factor_by_name(c, cert["target"])
-        val = obstruction(g, c, cert["index"]).value
-        ok = val < 0 and val == _parse_frac(cert["value"])
-    elif kind == "negative-values":
-        # linear factor x - a, a >= 0: negative on the orbit interval
-        # (-1/m, 0), which the map preserves for c <= -4
-        g = _factor_by_name(c, cert["factor"])
-        root = _parse_frac(cert["root"])
-        ok = g.degree == 1 and root >= 0 and c <= -4 and -g.coeffs[0] == root
-        for n in range(max(2, cert["from_index"]), cert["from_index"] + 3):
-            ok = ok and obstruction(g, c, n).value < 0
-    elif kind == "negative-discriminant":
-        g, v = _factor_by_name(c, cert["factor"]), _parse_frac(cert["value"])
-        ok = v < 0 and g.coeffs[1] ** 2 - 4 * g.coeffs[0] == v
-    elif kind == "sieve":
-        sc = SieveCertificate(cert["p"], cert["start"], cert["cycle_kind"],
-                              tuple(cert["values"]), cert["target"])
-        label = cert["target"].split("(")[0]
-        verify_sieve_certificate(sc, c, _target_by_label(c, label))
-    elif kind == "residual":
-        target = _target_by_label(c, cert["target"])
-        n = cert["index"]
-        wk = cert["witness_kind"]
-        if wk in ("exact", "negative"):
-            tc = check_term_nonsquare(c, target, n, prime_budget=0)
-            ok = tc.nonsquare
-        else:
-            p = cert["witness"]
-            ok = jacobi(target.reduce(c, p).value(n), p) == -1
-    elif kind == "m-congruence":
-        ok = verify_m_rule(cert["modulus"], cert["residue"], cert["needs_m_minus_1"]) \
-            and verdict.m is not None and verdict.m % cert["modulus"] == cert["residue"]
-    elif kind == "m-neg-one-prime":
-        p = cert["p"]
-        ok = _is_prime_small(p) and verdict.m is not None \
-            and (verdict.m + 1) % p == 0 and p % 8 == cert["mod8"]
-    elif kind == "neg-one-prime":
-        p = cert["p"]
-        ok = _is_prime_small(p) and (c + 1) % p == 0 and p % 4 == 3
-    elif kind == "table-congruence":
-        k, r = cert["modulus"], cert["residue"]
-        ok = c % k == r and r in _static_table().rows.get(k, ()) \
-            and cert["coverage"] is not None \
-            and verify_row_coverage(k, r) == cert["coverage"] \
-            and not is_perfect_square(c + 1)
-    elif kind == "rigid-divisibility":
-        ok = True  # structural; premises carried by sibling certificates
-    elif kind == "split-inequality":
-        ok = valuation_split_inequality(c)
-    elif kind == "square-split-inequality":
-        ok = square_split_inequality(c)
-    elif kind == "iterate-bound":
-        ok = stable_iterate_bound(c) <= cert["m"]
-    elif kind == "small-index-nonsquare":
-        seq = critical_numerators(c, max(cert["indices"]))
-        ok = all(not is_perfect_square(seq[i - 1]) for i in cert["indices"])
-    elif kind == "prime-exact":
-        p = cert["index"]
-        ok = not is_perfect_square(critical_numerators(c, p)[-1])
-    elif kind == "prime-lattice":
-        dc = cert["certificate"]
-        lattice_mod.check_divisor_certificate(dc)
-        ok = dc.n == cert["index"] and dc.c_exclusion >= c
-    elif kind == "counterexample":
-        ok = False
-    else:
-        raise AssertionError(f"unknown certificate kind {kind}")
-    if not ok:
-        raise AssertionError(f"certificate failed recheck: {cert}")
+        try:
+            rebuilt = build(c, verdict, factors, name, None, track.certificates)
+        except _MALFORMED as exc:
+            raise AssertionError(f"malformed certificate in track {name} ({exc!r})") from exc
+        if rebuilt != track:
+            raise AssertionError(f"malformed track {name}: its chain is not the "
+                                 "argument its builder rebuilds from it")
 
 
 # --- JSON serialization -------------------------------------------------------

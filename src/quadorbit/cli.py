@@ -89,9 +89,7 @@ def _format_report_line(rep: dict) -> str:
 
 
 def cmd_classify(args) -> int:
-    effort = Effort.fast() if args.effort == "fast" else Effort()
-    if args.p_max:
-        effort.p_max_schedule = tuple(sorted(set(effort.p_max_schedule) | {args.p_max}))
+    effort = Effort()
     t0 = time.time()
     if args.range:
         lo, hi = _parse_range(args.range)
@@ -275,8 +273,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("classify", help="case verdicts and verified reports")
     p.add_argument("--c", type=int)
     p.add_argument("--range", type=str, help="inclusive range lo..hi")
-    p.add_argument("--effort", choices=("fast", "full"), default="full")
-    p.add_argument("--p-max", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)

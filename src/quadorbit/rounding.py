@@ -11,7 +11,8 @@ it, the precision is doubled and the expression rebuilt, and past MAX_BITS
 it raises rather than settle on an endpoint.  interval_fractions is the one
 fixed-precision enclosure, for one-sided tests that may fail to decide.
 A Constant keeps one enclosure of a fixed real, in a context of its own, for
-builders that use that real at many precisions.
+builders that use that real at many precisions.  Both contexts widen each
+exp result by one ulp outward, since mpmath's can miss the true value.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import mpf_pos, round_ceiling, round_floor
+from mpmath.libmp import (from_man_exp, mpci_exp, mpf_add, mpf_pos, mpi_exp,
+                          round_ceiling, round_floor)
 
 MAX_BITS = 1 << 22
 DEFAULT_BITS = 128
@@ -29,6 +31,22 @@ Builder = Callable[[MPIntervalContext], object]
 
 class PrecisionExhausted(ArithmeticError):
     """A certified decision failed even at the precision cap."""
+
+
+def _mpi_exp_outward(s, prec: int):
+    # mpf_exp rounds a (prec + 14)-bit approximation in the asked direction, so an endpoint
+    # can miss the true value by far less than an ulp, 2^(exp + bc - prec): move it one out
+    lo, hi = mpi_exp(s, prec)
+    return (mpf_add(lo, from_man_exp(-1, lo[2] + lo[3] - prec), prec, round_floor),
+            mpf_add(hi, from_man_exp(1, hi[2] + hi[3] - prec), prec, round_ceiling))
+
+
+class _OutwardContext(MPIntervalContext):
+    """An interval context whose exp rounds outward."""
+
+    def _init_builtins(self):
+        super()._init_builtins()
+        self.exp = self._wrap_mpi_function(_mpi_exp_outward, mpci_exp)
 
 
 _context: MPIntervalContext | None = None
@@ -42,7 +60,7 @@ def iv_context(bits: int) -> MPIntervalContext:
     """
     global _context
     if _context is None:
-        _context = MPIntervalContext()
+        _context = _OutwardContext()
     _context.prec = bits
     return _context
 
@@ -107,7 +125,7 @@ class Constant:
         prec = ctx.prec
         if prec > self._bits:
             if self._ctx is None:
-                self._ctx = MPIntervalContext()
+                self._ctx = _OutwardContext()
             bits = max(prec, 2 * self._bits)
             self._ctx.prec = bits
             self._lo, self._hi = self._build(self._ctx)._mpi_

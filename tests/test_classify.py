@@ -305,3 +305,101 @@ def test_recheck_rejects_missing_track(c, factor):
     rep.tracks = [t for t in rep.tracks if t.factor != factor]
     with pytest.raises(AssertionError):
         recheck_report(rep)
+
+
+# --- the replay: every track rebuilt from its own chain ---------------------
+
+def _track(rep, factor):
+    return next(t for t in rep.tracks if t.factor == factor)
+
+
+@pytest.mark.parametrize("c", [-16, 48, 2, 1024])
+def test_recheck_rejects_chains_emptied_to_case_detection(c):
+    rep = verify_classification(c)
+    for track in rep.tracks:
+        track.certificates = [k for k in track.certificates if k["kind"] == "case-detection"]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_neg_one_prime_outside_its_classes():
+    # m + 1 = 17 is prime, but 17 = 1 (mod 8) proves nothing about g2
+    rep = verify_classification(-256)
+    g2 = _track(rep, "g2")
+    g2.certificates = [g2.certificates[0], {"kind": "m-neg-one-prime", "p": 17, "mod8": 1}]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_neg_one_prime_without_the_m_minus_1_premise():
+    # 691 = 3 (mod 8) needs m - 1 non-square, which the cut chain no longer states
+    rep = verify_classification(-690 ** 2)
+    g2 = _track(rep, "g2")
+    assert g2.certificates[1]["p"] == 691
+    g2.certificates = g2.certificates[:2]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_checks_a_sieve_certificate_against_its_own_track():
+    rep = verify_classification(-16)
+    g21, g22 = _track(rep, "g21"), _track(rep, "g22")
+    g22_sieve = next(k for k in g22.certificates if k["kind"] == "sieve")
+    assert g22_sieve["p"] == 5
+    g21.certificates = [g22_sieve if k["kind"] == "sieve" else k for k in g21.certificates]
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_an_exact_residual_too_large_to_test():
+    rep = verify_classification(-16)
+    residual = next(k for k in _track(rep, "g21").certificates if k["kind"] == "residual")
+    residual.update(index=40, witness_kind="exact")
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_a_profile_that_is_not_the_cases():
+    rep = verify_classification(-16)
+    rep.profile = factor_count_profile(detect_case(-25))
+    with pytest.raises(AssertionError, match="profile"):
+        recheck_report(rep)
+
+
+@pytest.fixture(scope="module")
+def lattice_route_report():
+    # the iterate-bound route with lattice certificates: see
+    # test_lattice_route_for_huge_even_c
+    return verify_classification(4 * 50106 ** 2, Effort(exact_bit_budget=256, lattice_pool={}))
+
+
+def test_recheck_rejects_every_single_certificate_deletion(lattice_route_report):
+    reports = [verify_classification(c) for c in (-16, -25, -64, -9, 48, 288, 2, 4, 5, 8,
+                                                  80, 1024)]
+    deletions = 0
+    for rep in reports + [lattice_route_report]:
+        for track in rep.tracks:
+            if track.status != "VERIFIED":
+                continue
+            chain = track.certificates
+            for i in range(len(chain)):
+                track.certificates = chain[:i] + chain[i + 1:]
+                with pytest.raises(AssertionError):
+                    recheck_report(rep)
+                deletions += 1
+            track.certificates = chain
+        recheck_report(rep)
+    assert deletions >= 100
+
+
+def test_recheck_accepts_every_honest_report(lattice_route_report):
+    # the replay must not refuse a report its builders made
+    quartic = [4 * m * m * (m * m - 1) for m in range(2, 11)]
+    cs = [c for c in range(-3000, 3001) if c not in (0, -1)]
+    cs += [-m * m for m in range(55, 301)] + quartic
+    eff = Effort(lattice_pool={})
+    for c in cs:
+        rep = verify_classification(c, eff)
+        assert rep.verified, c
+        recheck_report(rep)
+    recheck_report(lattice_route_report)

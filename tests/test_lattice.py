@@ -133,6 +133,25 @@ def test_enclosure_floor_raises_rather_than_settling(monkeypatch):
         enc.floor()
 
 
+@pytest.mark.parametrize("bits, arg", [
+    pytest.param(200, lambda ctx: ctx.log(ctx.mpf(2)) / ((1 << 214) - 1), id="theta-p215"),
+    pytest.param(125, lambda ctx: ctx.mpf(205) / 2 ** 100, id="205-over-2^100"),
+])
+def test_interval_exp_rounds_outward(bits, arg):
+    # mpmath's interval exp returns a point below the true value here; the
+    # shared context and a Constant's own context widen it outward
+    sharp = MPIntervalContext()
+    sharp.prec = 800
+    lo, hi = rounding.iv_endpoints(sharp.exp(arg(sharp)))
+
+    def build(ctx):
+        return ctx.exp(arg(ctx))
+    for enclosure in (build(rounding.iv_context(bits)),
+                      rounding.Constant(build)(rounding.iv_context(bits))):
+        a, b = rounding.iv_endpoints(enclosure)
+        assert a <= lo and hi <= b
+
+
 def test_lagrange_reduction_tracks_coefficients():
     b1, b2 = (336, 18401670), (0, -16777216)
     r1, r2, t1, t2 = lagrange_reduce(b1, b2)
