@@ -7,7 +7,7 @@ arguments, exact non-square values, modular sieve certificates, congruence
 rules, size bounds, lattice certificates) proving the predicted profile.
 The case table _TRACKS is also the checker: recheck_report rebuilds each
 track by its builder from the track's own chain, re-deriving each search
-answer the chain records without re-running any search.
+answer the chain records, field for field, without re-running any search.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .factors import (FactorPoly, SPECIAL_S, build_pattern,
 from .orbit import (BitBudgetExceeded, critical_numerators, is_perfect_square,
                     is_rational_square, isqrt_if_square)
 from .primes import FactorizationBudget, primes_to
-from .sieve import (FactorTarget, SieveCertificate, TermUnresolved,
+from .sieve import (FactorTarget, SieveCertificate, TermCheck, TermUnresolved,
                     certificate_at_prime, check_term_nonsquare,
                     find_sieve_certificate, jacobi, load_static_congruence_table,
                     match_congruence_rows, match_fixed_rules, verify_m_rule,
@@ -160,16 +160,18 @@ def _frac(x: Fraction) -> str:
 
 
 def _pick(chain: Chain, kind: str | tuple[str, ...], search: Callable[[], Cert | None],
-          check: Callable[[Cert], bool], index: int | None = None) -> Cert | None:
+          rederive: Callable[[Cert], Cert | None], index: int | None = None) -> Cert | None:
     """One search answer of the track being built.  With no chain, search();
-    else the chain's first certificate of this kind (or kinds) and index, once
-    check re-derives it without a search, or None when the chain has none."""
+    else the chain's first certificate of this kind (or kinds) and index, or
+    None when the chain has none.  rederive(cert) rebuilds without a search
+    the certificate of cert's claim (None when the claim fails), and cert
+    must equal it, descriptive fields and all."""
     if chain is None:
         return search()
     kinds = (kind,) if isinstance(kind, str) else kind
     for cert in chain:
         if cert["kind"] in kinds and (index is None or cert["index"] == index):
-            if not check(cert):
+            if rederive(cert) != cert:
                 raise AssertionError(f"certificate failed recheck: {cert}")
             return cert
     return None
@@ -177,8 +179,9 @@ def _pick(chain: Chain, kind: str | tuple[str, ...], search: Callable[[], Cert |
 
 def _pick_predicate(chain: Chain, kind: str, holds: Callable[[int], bool], c: int) -> Cert | None:
     """A certificate that is its kind alone, standing for holds(c)."""
-    return _pick(chain, kind, lambda: {"kind": kind} if holds(c) else None,
-                 lambda cert: holds(c))
+    def derive() -> Cert | None:
+        return {"kind": kind} if holds(c) else None
+    return _pick(chain, kind, derive, lambda cert: derive())
 
 
 def _exact_nonsquare_cert(label: str, n: int, value: Fraction) -> Cert | None:
@@ -200,50 +203,54 @@ def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort | None,
     target = FactorTarget(g)
     claim = f"{g.name}(f^n(x)) irreducible for all n"
 
+    def sieve_cert(sc: SieveCertificate) -> Cert:
+        return {"kind": "sieve", "p": sc.p, "start": sc.start, "cycle_kind": sc.kind,
+                "values": list(sc.values), "target": sc.target}
+
     def search() -> Cert | None:
         pin = PINNED_SIEVE_PRIMES.get((c, g.name))
         sc = certificate_at_prime(c, target, pin) if pin is not None else None
         if sc is None:
             sc = find_sieve_certificate(c, target, SIEVE_PRIME_CAP,
                                         max_values=None if g.name == "h12" else 2)
-        if sc is None:
-            return None
-        return {"kind": "sieve", "p": sc.p, "start": sc.start, "cycle_kind": sc.kind,
-                "values": list(sc.values), "target": sc.target}
+        return None if sc is None else sieve_cert(sc)
 
-    def check(cert: Cert) -> bool:
-        verify_sieve_certificate(SieveCertificate(
-            cert["p"], cert["start"], cert["cycle_kind"], tuple(cert["values"]),
-            cert["target"]), c, target)
-        return cert["target"] == target.describe(c)
+    def rederive(cert: Cert) -> Cert:
+        sc = SieveCertificate(cert["p"], cert["start"], cert["cycle_kind"],
+                              tuple(cert["values"]), target.describe(c))
+        verify_sieve_certificate(sc, c, target)
+        return sieve_cert(sc)
 
-    def residual_cert(n: int) -> Cert | None:
-        # witness kind "square" when the term is a square; None when unresolved
-        try:
-            tc = check_term_nonsquare(c, target, n, RESIDUAL_PRIME_BUDGET,
-                                      effort.exact_bit_budget)
-        except TermUnresolved:
-            return None
+    def residual_cert(n: int, tc: TermCheck) -> Cert:
         return {"kind": "residual", "target": g.name, "index": n,
                 "witness_kind": tc.witness_kind, "witness": tc.witness}
 
-    def residual_holds(cert: Cert) -> bool:
-        n, witness_kind = cert["index"], cert["witness_kind"]
-        if witness_kind == "jacobi":
+    def residual_search(n: int) -> Cert | None:
+        # witness kind "square" when the term is a square; None when unresolved
+        try:
+            return residual_cert(n, check_term_nonsquare(c, target, n, RESIDUAL_PRIME_BUDGET,
+                                                         effort.exact_bit_budget))
+        except TermUnresolved:
+            return None
+
+    def residual_rederive(cert: Cert) -> Cert | None:
+        n = cert["index"]
+        if cert["witness_kind"] == "jacobi":
             p = cert["witness"]
-            return cert["target"] == g.name and jacobi(target.reduce(c, p).value(n), p) == -1
-        tc = check_term_nonsquare(c, target, n, prime_budget=0)
-        return cert["target"] == g.name and tc.nonsquare and tc.witness_kind == witness_kind
+            tc = TermCheck(n, jacobi(target.reduce(c, p).value(n), p) == -1, "jacobi", p)
+        else:
+            tc = check_term_nonsquare(c, target, n, prime_budget=0)
+        return residual_cert(n, tc) if tc.nonsquare else None
 
     certs = list(head_certs)
-    sieve = _pick(chain, "sieve", search, check)
+    sieve = _pick(chain, "sieve", search, rederive)
     if sieve is None:
         return TrackReport(g.name, claim, certs, "CONDITIONAL",
                            "no sieve certificate within the prime schedule")
     certs.append(sieve)
     unresolved: list[int] = []
     for n in range(first_index, sieve["start"]):
-        residual = _pick(chain, "residual", lambda: residual_cert(n), residual_holds, n)
+        residual = _pick(chain, "residual", lambda: residual_search(n), residual_rederive, n)
         if residual is None:
             unresolved.append(n)
             continue
@@ -352,21 +359,26 @@ def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
             for needs in [True] if rule.requires_nonsquare == "m-1" else [False, True]:
                 cert = {"kind": "m-congruence", "modulus": rule.modulus,
                         "residue": rule.residue, "needs_m_minus_1": needs}
-                if check(cert):
+                if rederive(cert):
                     return cert
         # a prime 7 (mod 8) needs no hypothesis on m-1, so it goes first
-        return min(filter(check, primes), key=lambda k: (k["mod8"] == 3, k["p"]), default=None)
+        return min(filter(rederive, primes), key=lambda k: (k["mod8"] == 3, k["p"]), default=None)
 
-    def check(cert: Cert) -> bool:
+    def rederive(cert: Cert) -> Cert | None:
         if cert["kind"] == "m-congruence":
             k, r, needs = cert["modulus"], cert["residue"], cert["needs_m_minus_1"]
-            return m % k == r and w3_cert is not None \
-                and (m1_cert is not None or not needs) and verify_m_rule(k, r, needs)
+            if m % k == r and w3_cert is not None \
+                    and (m1_cert is not None or not needs) and verify_m_rule(k, r, needs):
+                return {"kind": "m-congruence", "modulus": k, "residue": r,
+                        "needs_m_minus_1": needs}
+            return None
         p = cert["p"]
-        return (m + 1) % p == 0 and cert["mod8"] == p % 8 \
-            and (p % 8 == 7 or p % 8 == 3 and m1_cert is not None) and _is_prime_small(p)
+        if (m + 1) % p == 0 and (p % 8 == 7 or p % 8 == 3 and m1_cert is not None) \
+                and _is_prime_small(p):
+            return {"kind": "m-neg-one-prime", "p": p, "mod8": p % 8}
+        return None
 
-    rule = _pick(chain, ("m-congruence", "m-neg-one-prime"), search, check)
+    rule = _pick(chain, ("m-congruence", "m-neg-one-prime"), search, rederive)
     if rule is None:
         return _sieve_track(c, g2, 2, effort, head, chain)
     if rule["kind"] == "m-congruence":
@@ -397,9 +409,11 @@ def _neg_one_prime_cert(c: int) -> Cert | None:
     return {"kind": "neg-one-prime", "p": min(ps)} if ps else None
 
 
-def _neg_one_prime_holds(c: int, cert: Cert) -> bool:
+def _rederive_neg_one_prime(c: int, cert: Cert) -> Cert | None:
     p = cert["p"]   # divisibility first: it bounds the trial division by c + 1
-    return (c + 1) % p == 0 and p % 4 == 3 and _is_prime_small(p)
+    if (c + 1) % p == 0 and p % 4 == 3 and _is_prime_small(p):
+        return {"kind": "neg-one-prime", "p": p}
+    return None
 
 
 def _table_row_cert(c: int) -> Cert | None:
@@ -412,10 +426,14 @@ def _table_row_cert(c: int) -> Cert | None:
     return None
 
 
-def _table_row_holds(c: int, cert: Cert) -> bool:
+def _rederive_table_row(c: int, cert: Cert) -> Cert | None:
     k, r = cert["modulus"], cert["residue"]
-    return c % k == r and r in _static_table().rows.get(k, ()) \
-        and cert["coverage"] is not None and verify_row_coverage(k, r) == cert["coverage"]
+    if c % k == r and r in _static_table().rows.get(k, ()):
+        coverage = verify_row_coverage(k, r)
+        if coverage is not None:
+            return {"kind": "table-congruence", "modulus": k, "residue": r,
+                    "coverage": coverage}
+    return None
 
 
 def _estimated_bits(c: int, n: int) -> int:
@@ -440,12 +458,16 @@ def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert:
     return {"kind": "prime-lattice", "index": p, "certificate": cert}
 
 
-def _prime_fact_holds(c: int, p: int, cert: Cert) -> bool:
+def _rederive_prime_fact(c: int, p: int, cert: Cert) -> Cert | None:
     if cert["kind"] == "prime-exact":
-        return not is_perfect_square(critical_numerators(c, p)[-1])
+        if is_perfect_square(critical_numerators(c, p)[-1]):
+            return None
+        return {"kind": "prime-exact", "index": p}
     dc = cert["certificate"]
     lattice_mod.check_divisor_certificate(dc)
-    return dc.n == p and dc.c_exclusion >= c
+    if dc.n == p and dc.c_exclusion >= c:
+        return {"kind": "prime-lattice", "index": p, "certificate": dc}
+    return None
 
 
 def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
@@ -462,9 +484,9 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
     c1_cert = _exact_nonsquare_cert("a_n", 2, Fraction(c + 1))
     if c1_cert is not None:
         rule = _pick(chain, "neg-one-prime", lambda: _neg_one_prime_cert(c),
-                     lambda k: _neg_one_prime_holds(c, k)) \
+                     lambda k: _rederive_neg_one_prime(c, k)) \
             or _pick(chain, "table-congruence", lambda: _table_row_cert(c),
-                     lambda k: _table_row_holds(c, k))
+                     lambda k: _rederive_table_row(c, k))
         if rule is not None:
             certs += [rule, c1_cert, {"kind": "rigid-divisibility", "through": "a2"}]
             return TrackReport(name, claim, certs, "VERIFIED")
@@ -493,7 +515,7 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
                 continue
             cert = _pick(chain, ("prime-exact", "prime-lattice"),
                          lambda: _prime_fact_cert(c, p, effort),
-                         lambda k: _prime_fact_holds(c, p, k), p)
+                         lambda k: _rederive_prime_fact(c, p, k), p)
             if cert is None:
                 return TrackReport(name, claim, certs, "CONDITIONAL",
                                    f"prime index {p} unresolved")

@@ -6,6 +6,15 @@ index where the exact value is nonzero.  Any prime dividing the orbit of t
 (through an index >= 1) must have -c a quadratic residue, which keeps the
 dividing primes inside a set of density 1/2; the profile reports observed
 fractions at checkpoints and audits that residue invariant.
+
+One walk decides a prime: step t mod p under x -> x^2 + 1/c, adding each
+value to a set, until a value repeats; that value is where the cycle starts.
+A walk that never met 0 gives no division.  When t = 0 mod p, 0 is the first
+value and lies on the cycle exactly when the cycle starts at 0; off the cycle
+it is visited once, at index 0, and divides unless the exact orbit value
+there is 0.  Otherwise (rare) the cycle is walked once more to see whether it
+holds 0, and if not, the index of the single visit to 0 is compared with the
+index of the exact zero, which depends on c and t only.
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import sieve_primes
-from .sieve import ModOrbit, jacobi
+from .sieve import jacobi
 
 
 class ExcludedPrime(ValueError):
@@ -39,17 +48,41 @@ def _exact_zero_index(c: int, t: Fraction, max_steps: int = 64) -> int | None:
     return None
 
 
+def _divides(p: int, c: int, num: int, den: int, zero_index: int | None) -> bool:
+    """divides_orbit(p, c, num/den) for p dividing neither c nor den, with
+    zero_index = _exact_zero_index(c, num/den)."""
+    c0 = pow(c, -1, p)
+    x0 = num * pow(den, -1, p) % p
+    # inline steps into a bare set: this loop runs once per prime of a profile
+    seen: set[int] = set()
+    add = seen.add
+    x = x0
+    while x not in seen:
+        add(x)
+        x = (x * x + c0) % p
+    if 0 not in seen:
+        return False
+    if x0 == 0:
+        return x == 0 or zero_index != 0
+    cycle = {x}
+    y = (x * x + c0) % p
+    while y != x:
+        cycle.add(y)
+        y = (y * y + c0) % p
+    if 0 in cycle:
+        return True   # infinitely many visits; at most one can be the exact zero
+    n, y = 0, x0      # 0 sits once in the tail, at the index of its first visit
+    while y != 0:
+        n, y = n + 1, (y * y + c0) % p
+    return n != zero_index
+
+
 def divides_orbit(p: int, c: int, t: Fraction | int) -> bool:
     """Does p divide some nonzero value of the orbit of t under x^2 + 1/c?"""
     t = Fraction(t)
     if c % p == 0 or t.denominator % p == 0:
         raise ExcludedPrime(f"p = {p} divides c or the denominator of t")
-    x = (t.numerator % p) * pow(t.denominator % p, -1, p) % p
-    orbit = ModOrbit.of(pow(c % p, -1, p), p, x)
-    if 0 in orbit.cycle:
-        return True  # infinitely many visits; at most one can be the exact zero
-    # orbit values are distinct, so 0 sits in the tail at most once
-    return 0 in orbit.tail and orbit.tail.index(0) != _exact_zero_index(c, t)
+    return _divides(p, c, t.numerator, t.denominator, _exact_zero_index(c, t))
 
 
 @dataclass(frozen=True)
@@ -79,6 +112,8 @@ def density_profile(c: int, t: Fraction | int, bound: int,
     from .orbit import is_perfect_square
 
     t = Fraction(t)
+    num, den = t.numerator, t.denominator
+    zero_index = _exact_zero_index(c, t)
     if checkpoints is None:
         checkpoints = tuple(10 ** k for k in range(3, len(str(bound))))
     marks = sorted(set(b for b in checkpoints if b <= bound) | {bound})
@@ -93,11 +128,11 @@ def density_profile(c: int, t: Fraction | int, bound: int,
         while p > mark:
             out.append(Checkpoint(mark, dividing, considered))
             mark = next(mark_iter)
-        if c % p == 0 or t.denominator % p == 0:
+        if c % p == 0 or den % p == 0:
             excluded.append(p)
             continue
         considered += 1
-        if divides_orbit(p, c, t):
+        if _divides(p, c, num, den, zero_index):
             dividing += 1
             if p != 2 and (2 * c) % p != 0 and jacobi(-c % p, p) != 1:
                 violations.append(p)

@@ -7,9 +7,10 @@ interest.  Builders evaluate in the one shared context of iv_context, set to
 the working precision; a builder returns its enclosure before any other
 iv_context call.  Every integer rounding goes through an Enclosure, and is
 exact or raises PrecisionExhausted: when the enclosure is too wide to decide
-it, the precision is doubled and the expression rebuilt, and past MAX_BITS
-it raises rather than settle on an endpoint.  interval_fractions is the one
-fixed-precision enclosure, for one-sided tests that may fail to decide.
+it, the precision is doubled and the expression rebuilt, and it raises rather
+than settle on an endpoint past MAX_BITS, or after MAX_DOUBLINGS doublings
+that each left it between two adjacent integers.  interval_fractions is the
+one fixed-precision enclosure, for one-sided tests that may fail to decide.
 A Constant keeps one enclosure of a fixed real, in a context of its own, for
 builders that use that real at many precisions.  Both contexts widen each
 exp result by one ulp outward, since mpmath's can miss the true value.
@@ -24,6 +25,15 @@ from mpmath.libmp import (from_man_exp, mpci_exp, mpf_add, mpf_pos, mpi_exp,
                           round_ceiling, round_floor)
 
 MAX_BITS = 1 << 22
+# Doublings a rounding may take once only the side of an integer is left to
+# decide.  verify_no_squares_up_to plus its checker at X = 10^100, ~8*10^300
+# and 10^1000, and classify plus recheck over |c| <= 3000, need none.  The
+# test suite's most is 5: required_divisor_bound(1657, 10^9) starts at 94
+# bits, and its value lies within about 2^-1650 of an integer.  A value on
+# an integer would otherwise refine to MAX_BITS: 10 s for sqrt(7)^2, and
+# about an hour for a builder that calls exp (2.5 s at 2^17 bits, 4x per
+# doubling).
+MAX_DOUBLINGS = 8
 DEFAULT_BITS = 128
 
 Builder = Callable[[MPIntervalContext], object]
@@ -141,9 +151,11 @@ class Enclosure:
     The dyadic endpoints are kept as integers over one power of two, so each
     rounding is a product and a shift; squaring the enclosure needs lo > 0.
     A rounding the enclosure cannot decide doubles its precision and rebuilds
-    it, and later roundings reuse the sharper enclosure; past MAX_BITS it
-    raises PrecisionExhausted.  Every result is the exact rounding of the
-    true value, whatever the precision that decided it.
+    it, and later roundings reuse the sharper enclosure.  It raises
+    PrecisionExhausted past MAX_BITS, or after MAX_DOUBLINGS doublings that
+    each left the value's two rounded endpoints one apart, as they stay for
+    a value on an integer.  Every result is the exact rounding of the true
+    value, whatever the precision that decided it.
     """
 
     def __init__(self, build: Builder, bits: int):
@@ -160,12 +172,19 @@ class Enclosure:
         self._lo, self._hi, self._shift = a << (ea - e), b << (eb - e), -e
 
     def _decide(self, round_shifted, scale: int, power: int) -> int:
+        adjacent = 0
         while True:
             lo, hi = self._lo, self._hi
             if power == 1 or lo > 0:
                 a = round_shifted(lo ** power * scale, power * self._shift)
-                if a == round_shifted(hi ** power * scale, power * self._shift):
+                b = round_shifted(hi ** power * scale, power * self._shift)
+                if a == b:
                     return a
+                if abs(b - a) == 1:
+                    adjacent += 1
+                    if adjacent > MAX_DOUBLINGS:
+                        raise PrecisionExhausted(
+                            f"undecided between {min(a, b)} and {max(a, b)} at {self._bits} bits")
             self._bits *= 2
             self._enclose()
 

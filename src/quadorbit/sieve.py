@@ -8,6 +8,7 @@ the congruence table machinery and the fixed congruence rule families.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -184,6 +185,10 @@ class SieveCertificate:
         return len(self.values)
 
 
+def _cycle_kind(period: int) -> str:
+    return "constant" if period == 1 else ("two_cycle" if period == 2 else "cycle")
+
+
 def _certificate_from_cycle(c: int, target: Target, p: int,
                             max_values: int | None) -> SieveCertificate | None:
     seq = target.reduce(c, p)
@@ -199,8 +204,7 @@ def _certificate_from_cycle(c: int, target: Target, p: int,
     start = m
     while start > 1 and seq.value(start - 1) == seq.value(start - 1 + d):
         start -= 1
-    kind = "constant" if d == 1 else ("two_cycle" if d == 2 else "cycle")
-    return SieveCertificate(p, start, kind, tuple(pattern), target.describe(c))
+    return SieveCertificate(p, start, _cycle_kind(d), tuple(pattern), target.describe(c))
 
 
 def find_sieve_certificate(c: int, target: Target, p_max: int = 500,
@@ -228,6 +232,8 @@ def verify_sieve_certificate(cert: SieveCertificate, c: int, target: Target) -> 
     p, d = cert.p, cert.period
     if not target.ok_mod(c, p):
         raise AssertionError("target not reducible mod p")
+    if cert.kind != _cycle_kind(d):
+        raise AssertionError(f"cycle kind {cert.kind!r} does not fit period {d}")
     for v in cert.values:
         if jacobi(v, p) != -1:
             raise AssertionError(f"{v} is not a non-residue mod {p}")
@@ -292,10 +298,13 @@ def check_term_nonsquare(c: int, target: Target, n: int,
 SQUARE_VALUES_COMPOSITE = {4: frozenset({0, 1}), 8: frozenset({0, 1, 4})}
 
 
-def _nonsquare_value_mod(v: int, k: int) -> bool:
+@functools.cache
+def _nonresidues(k: int) -> bytes:
+    """table[v] = 1 for the residues v mod k read as non-squares: outside the
+    square classes for k = 4, 8, Jacobi symbol -1 for odd k."""
     if k in SQUARE_VALUES_COMPOSITE:
-        return v % k not in SQUARE_VALUES_COMPOSITE[k]
-    return jacobi(v, k) == -1
+        return bytes(v not in SQUARE_VALUES_COMPOSITE[k] for v in range(k))
+    return bytes(jacobi(v, k) == -1 for v in range(k))
 
 
 @dataclass(frozen=True)
@@ -319,7 +328,7 @@ def _admission_patterns(c_class: int, k: int) -> dict[str, bool]:
     """
     seq = NumeratorTarget().reduce(c_class, k)
     W = seq.entry + 6 * seq.period + 12
-    ns = seq.map(lambda v: _nonsquare_value_mod(v, k)).prefix(W + 1)
+    ns = seq.map(_nonresidues(k).__getitem__).prefix(W + 1)
     return {
         "odd_from_5": all(ns[n] for n in range(5, W + 1, 2)),
         "offsets_7_5": (all(ns[n] for n in range(7, W + 1, 3))
@@ -495,7 +504,7 @@ def verify_m_rule(k: int, residue: int, needs_m_minus_1: bool) -> bool:
         if (i + 1) % 3 == 0:
             return True
         return needs_m_minus_1 and (i + 1) % 2 == 0
-    ns = seq.map(lambda v: _nonsquare_value_mod(v, k)).prefix(W + 1)
+    ns = seq.map(_nonresidues(k).__getitem__).prefix(W + 1)
     return all(ns[i] for i in range(2, W + 1) if not exempt(i))
 
 

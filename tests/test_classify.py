@@ -403,3 +403,33 @@ def test_recheck_accepts_every_honest_report(lattice_route_report):
         assert rep.verified, c
         recheck_report(rep)
     recheck_report(lattice_route_report)
+
+
+# --- descriptive fields: a chain's certificate must equal its re-derivation ---
+
+def test_recheck_rejects_a_sieve_cycle_kind_that_does_not_fit_its_values():
+    # one value is a "constant" cycle, whatever the certificate calls it
+    rep = verify_classification(-16)
+    sieve_cert = next(k for k in _track(rep, "g21").certificates if k["kind"] == "sieve")
+    assert sieve_cert["values"] == [6] and sieve_cert["cycle_kind"] == "constant"
+    sieve_cert["cycle_kind"] = "cycle"
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_recheck_rejects_an_exact_residual_that_carries_a_witness():
+    rep = verify_classification(-16)
+    residual = next(k for k in _track(rep, "g21").certificates if k["kind"] == "residual")
+    assert residual["witness_kind"] == "exact" and residual["witness"] is None
+    residual["witness"] = 7
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+@pytest.mark.parametrize("c, kind", [(-16, "sieve"), (-25, "m-congruence"),
+                                     (2, "neg-one-prime")])
+def test_recheck_rejects_a_certificate_with_an_extra_key(c, kind):
+    rep = verify_classification(c)
+    _cert(rep, kind)["junk"] = 1
+    with pytest.raises(AssertionError):
+        recheck_report(rep)

@@ -140,6 +140,22 @@ def test_golden_output_digests(capsys):
         "d77bfca63cedc0c7b3fe6bcc6432a2431c4ba15eb3dc3871699c49120721b32c"
 
 
+def test_density_and_table_regeneration_digests(capsys):
+    # byte identity of the orbit-mod-p outputs: the density walk and the
+    # table regeneration's non-residue lookups must not move a byte
+    def digest(argv, code=0):
+        assert main(argv) == code
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    assert digest(["density", "--c", "904", "--t", "0", "--bound", "300000", "--json"]) == \
+        "d75e36592a6b29476c1bd8915b06830ffc42ac1117fb7c33ae7e31264cd6b0a5"
+    assert digest(["density", "--c", "-7", "--t", "1/2", "--bound", "100000", "--json"]) == \
+        "df0010c862f3e19f5bbc4a5d13546cbea5e0bdd36e1c0b1e60acc1cf740cef6f"
+    # exit 1: the regenerated table differs from the published one by design
+    assert digest(["table1", "--regen", "--bound", "200"], code=1) == \
+        "90c75d4c5790b986b54e14499fff9187d5f6721f561f33ba49096ed2b59db09d"
+
+
 def test_stab_verify_worker_pool_prints_the_same_bytes(capsys):
     # --jobs 2 farms the primes out to a process pool; the certificate is
     # ordered by prime whatever order the workers finish in

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from quadorbit.density import (ExcludedPrime, density_profile, divides_orbit,
-                               profile_rows)
+from quadorbit.density import (ExcludedPrime, _exact_zero_index, density_profile,
+                               divides_orbit, profile_rows)
 from quadorbit.primes import sieve_primes
-from quadorbit.sieve import jacobi
+from quadorbit.sieve import ModOrbit, jacobi
 
 
 def test_divides_orbit_examples():
@@ -85,3 +85,46 @@ def test_divides_orbit_matches_naive_simulation():
             if c % p == 0 or t.denominator % p == 0:
                 continue
             assert divides_orbit(p, c, t) == _naive_divides_orbit(p, c, t, exact_zero), (p, c, t)
+
+
+# the profile grid: c = -4, t = 1/2 has its exact zero at index 1; 7 divides
+# the numerator of 7/2 and 5 that of -5/9
+PROFILE_CS = (2, 904, -7, -4)
+PROFILE_TS = (Fraction(0), Fraction(7, 2), Fraction(1, 2), Fraction(-5, 9))
+
+
+def _exact_zero(c, t):
+    return 0 if t == 0 else (1 if (c, t) == (-4, Fraction(1, 2)) else None)
+
+
+@pytest.mark.parametrize("c", PROFILE_CS)
+@pytest.mark.parametrize("t", PROFILE_TS, ids=str)
+def test_profile_counts_match_naive_simulation(c, t):
+    # the profile decides each prime on its own path, not through divides_orbit
+    assert _exact_zero_index(c, t) == _exact_zero(c, t)
+    prof = density_profile(c, t, 3000, checkpoints=(10, 100, 1000))
+    for cp in prof.checkpoints:
+        primes = [p for p in sieve_primes(cp.bound) if c % p and t.denominator % p]
+        assert cp.primes == len(primes)
+        assert cp.dividing == sum(_naive_divides_orbit(p, c, t, _exact_zero(c, t))
+                                  for p in primes), (c, t, cp)
+
+
+def _modorbit_divides_orbit(p, c, t):
+    """Reference: the tail and cycle of one ModOrbit per prime."""
+    t = Fraction(t)
+    x = (t.numerator % p) * pow(t.denominator % p, -1, p) % p
+    orbit = ModOrbit.of(pow(c % p, -1, p), p, x)
+    if 0 in orbit.cycle:
+        return True
+    return 0 in orbit.tail and orbit.tail.index(0) != _exact_zero_index(c, t)
+
+
+def test_divides_orbit_matches_modorbit_reference():
+    cases = [(c, t) for c in PROFILE_CS for t in PROFILE_TS]
+    cases += [(-9, Fraction(-1, 3)), (-16, Fraction(1, 4)), (1000003, Fraction(0))]
+    for c, t in cases:
+        for p in sieve_primes(1999):
+            if c % p == 0 or t.denominator % p == 0:
+                continue
+            assert divides_orbit(p, c, t) == _modorbit_divides_orbit(p, c, t), (p, c, t)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,6 +132,18 @@ def test_enclosure_floor_raises_rather_than_settling(monkeypatch):
     enc = rounding.Enclosure(lambda ctx: ctx.mpf(1) / 3 * 3, 64)
     with pytest.raises(rounding.PrecisionExhausted):
         enc.floor()
+
+
+@pytest.mark.parametrize("rounding_of", ["floor", "ceil"])
+def test_enclosure_gives_up_on_an_integer_within_seconds(rounding_of):
+    # sqrt(7)^2 is the integer 7 at the default MAX_BITS: no enclosure decides
+    # its floor or ceiling, and the rounding stops after MAX_DOUBLINGS
+    # doublings between 7 and its neighbour rather than refine for an hour
+    enc = rounding.Enclosure(lambda ctx: ctx.sqrt(ctx.mpf(7)) ** 2, 128)
+    start = time.perf_counter()
+    with pytest.raises(rounding.PrecisionExhausted):
+        getattr(enc, rounding_of)(1)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("bits, arg", [

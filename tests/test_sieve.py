@@ -8,7 +8,8 @@ from quadorbit.factors import FactorPoly, build_pattern
 from quadorbit.orbit import critical_numerators
 from quadorbit.primes import sieve_primes
 from quadorbit.sieve import (FactorTarget, NumeratorTarget, M_RULES_NEED_M_MINUS_1,
-                             M_RULES_UNCONDITIONAL, TermUnresolved,
+                             M_RULES_UNCONDITIONAL, SQUARE_VALUES_COMPOSITE,
+                             TermUnresolved, _nonresidues,
                              certificate_at_prime, check_term_nonsquare,
                              compare_congruence_tables, find_sieve_certificate,
                              jacobi, load_static_congruence_table,
@@ -248,6 +249,23 @@ def test_row_coverage_verifier():
     for k, residues in static.rows.items():
         for r in residues:
             assert verify_row_coverage(k, r) is not None, (k, r)
+
+
+def test_nonresidue_tables_match_jacobi_and_the_square_sets():
+    moduli = (set(regenerate_congruence_table(200).rows)
+              | set(load_static_congruence_table().rows)
+              | set(M_RULES_UNCONDITIONAL) | set(M_RULES_NEED_M_MINUS_1))
+    assert {4, 8, 3, 199} <= moduli
+    for k in sorted(moduli):
+        table = _nonresidues(k)
+        squares = {x * x % k for x in range(k)}
+        assert len(table) == k
+        for v in range(k):
+            if k in SQUARE_VALUES_COMPOSITE:
+                expected = v not in SQUARE_VALUES_COMPOSITE[k]
+            else:
+                expected = jacobi(v, k) == -1
+            assert table[v] == expected == (v not in squares), (k, v)
 
 
 def test_table_round_trip():
