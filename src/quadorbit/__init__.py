@@ -1,17 +1,13 @@
 """Critical-orbit arithmetic and irreducibility certification for x^2 + 1/c."""
 
-from .orbit import (BitBudgetExceeded, CriticalNumerator, HalfSumStatus,
-                    NonSquareIndices, Provenance, SquareClass,
-                    critical_numerator, critical_numerators,
-                    extend_by_rigid_divisibility, half_sum_status,
-                    is_perfect_square, isqrt_if_square, orbit_point,
-                    padic_valuation)
+from .orbit import (BitBudgetExceeded, CriticalNumerator, HalfSumStatus, SquareClass,
+                    critical_numerator, critical_numerators, half_sum_status,
+                    is_perfect_square, isqrt_if_square, orbit_point, padic_valuation)
 from .factors import FactorPoly, Obstruction, build_pattern, eval_at_orbit, obstruction
 from .sieve import (CongruenceTable, ModOrbit, SieveCertificate, jacobi,
                     find_sieve_certificate, match_fixed_rules, orbit_mod,
                     regenerate_congruence_table)
-from .bounds import (BoundProfile, Decision, FactorSplit, analytic_nonsquare_test,
-                     initial_divisor_bound, profile, stable_iterate_bound)
+from .bounds import FactorSplit, initial_divisor_bound, stable_iterate_bound
 from .lattice import (DivisorBoundCertificate, EscalationTrace, StabCertificate,
                       check_stab_certificate, check_trace, closest_points,
                       escalation_pass, prove_divisor_bound,

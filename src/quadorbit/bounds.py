@@ -10,13 +10,12 @@ rounding, and integer outputs are exact floors of the real values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import rounding
 from .factors import quartic_form_parameter
 from .orbit import DEFAULT_BIT_BUDGET, critical_numerators, is_perfect_square
-from .primes import FactorizationBudget, coprime_splits, factorize
+from .primes import coprime_splits, factorize
 
 
 def _sqrt_c(ctx, c: int):
@@ -33,86 +32,8 @@ def _eps_limit(ctx, c: int):
     return _sqrt_c(ctx, c) * ctx.log((1 + rF) / (1 - rF))
 
 
-def _log_q(ctx, q: Fraction):
-    return ctx.log(ctx.mpf(q.numerator) / q.denominator)
-
-
 def _default_bits(c: int) -> int:
     return max(128, c.bit_length() // 2 + 96)
-
-
-def F_bounds(c: int, bits: int = 128) -> tuple[Fraction, Fraction]:
-    return rounding.interval_fractions(lambda ctx: _F(ctx, c), bits)
-
-
-def eps_limit_bounds(c: int, bits: int = 128) -> tuple[Fraction, Fraction]:
-    """Enclosure of the limiting normalized logarithmic gap for this c."""
-    return rounding.interval_fractions(lambda ctx: _eps_limit(ctx, c), bits)
-
-
-def eps_n_bounds(c: int, n: int, bits: int = 192,
-                 bit_budget: int = DEFAULT_BIT_BUDGET) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(c) * log((sqrt(a_n) + a_{n-1})/(sqrt(a_n) - a_{n-1}))."""
-    seq = critical_numerators(c, n, bit_budget)
-    a_prev, a_n = seq[-2], seq[-1]
-
-    def build(ctx):
-        r = ctx.sqrt(ctx.mpf(a_n))
-        return _sqrt_c(ctx, c) * ctx.log((r + a_prev) / (r - a_prev))
-
-    return rounding.interval_fractions(build, bits)
-
-
-def q_ratio(c: int, fac: dict[int, int] | None = None) -> Fraction:
-    """min v/u over coprime splits c = u*v with v > u."""
-    if c < 2:
-        raise ValueError("c must be >= 2")
-    best = None
-    for u, v in coprime_splits(c, fac):
-        if v > u:
-            r = Fraction(v, u)
-            best = r if best is None or r < best else best
-    return best
-
-
-def q_ratio_square_part(c: int, fac: dict[int, int] | None = None) -> Fraction:
-    """Same minimum restricted to splits where u or v is a perfect square.
-
-    The split (1, c) always qualifies, so the minimum exists.
-    """
-    if c < 2:
-        raise ValueError("c must be >= 2")
-    best = None
-    for u, v in coprime_splits(c, fac):
-        if v > u and (is_perfect_square(u) or is_perfect_square(v)):
-            r = Fraction(v, u)
-            best = r if best is None or r < best else best
-    return best
-
-
-@dataclass(frozen=True)
-class BoundProfile:
-    c: int
-    F: tuple[Fraction, Fraction]
-    eps_limit: tuple[Fraction, Fraction]
-    q: Fraction | None
-    qtilde: Fraction | None
-    m_bound: int
-    bits: int
-
-
-def profile(c: int, bits: int | None = None) -> BoundProfile:
-    if c < 4:
-        raise ValueError("profiles need c >= 4")
-    bits = bits or _default_bits(c)
-    try:
-        fac = factorize(c)
-        q = q_ratio(c, fac)
-        qt = q_ratio_square_part(c, fac)
-    except FactorizationBudget:
-        q = qt = None
-    return BoundProfile(c, F_bounds(c, bits), eps_limit_bounds(c, bits),
-                        q, qt, stable_iterate_bound(c, bits), bits)
 
 
 def stable_iterate_bound(c: int, bits: int | None = None) -> int:
@@ -131,45 +52,6 @@ def stable_iterate_bound(c: int, bits: int | None = None) -> int:
         return ctx.log(arg) / ctx.log(2)
 
     return 1 + rounding.Enclosure(build, bits).floor()
-
-
-class Decision(Enum):
-    NONSQUARE_PROVEN = "nonsquare_proven"
-    UNDECIDED = "undecided"
-
-
-def analytic_nonsquare_test(c: int, n: int, bits: int | None = None) -> Decision:
-    """Can a_n(c) be a square?  NONSQUARE_PROVEN when the size bounds say no.
-
-    Routes: odd c; the threshold with the split ratio q(c); the square-root
-    bound sqrt(c) <= (2^(n-1)-1)/log 4 - 3.  All comparisons one-sided.
-    """
-    if c < 4 or n < 4:
-        raise ValueError("test needs c >= 4 and n >= 4")
-    if c % 2 == 1:
-        return Decision.NONSQUARE_PROVEN
-    bits = bits or _default_bits(c)
-    N = (1 << (n - 1)) - 1
-
-    def sqrt_c_cond(ctx):
-        return _sqrt_c(ctx, c) - (ctx.mpf(N) / ctx.log(4) - 3)
-
-    if rounding.interval_fractions(sqrt_c_cond, bits)[1] <= 0:
-        return Decision.NONSQUARE_PROVEN
-    try:
-        q = q_ratio(c)
-    except FactorizationBudget:
-        q = None
-    if q is not None:
-        def threshold(ctx):
-            lq = _log_q(ctx, q)
-            arg = 1 + _eps_limit(ctx, c) / (_sqrt_c(ctx, c) * lq) + ctx.log(4) / lq
-            return 1 + ctx.log(arg) / ctx.log(2)
-
-        hi = rounding.interval_fractions(threshold, bits)[1]
-        if Fraction(n) >= hi:
-            return Decision.NONSQUARE_PROVEN
-    return Decision.UNDECIDED
 
 
 def _split_threshold_holds(ratio: Fraction, c: int, bits: int) -> bool:
@@ -248,36 +130,6 @@ def find_coprime_power_split(c: int, n: int,
                 if v ** N - u ** N == 2 * a_prev:
                     return FactorSplit(c, n, u, v)
     return None
-
-
-def check_split_bounds(c: int, n: int, split: FactorSplit, bits: int = 192) -> bool:
-    """The four ratio inequalities a valid split must satisfy, certified.
-
-    (3-2sqrt2)^(1/N) < u/(theta^2 v), u/(theta^2 v) < (3+2sqrt2)^(1/N), and
-    the same bracket for theta^2 v / u, with theta = 2^(1/N); plus the
-    consequence c > theta^2 (3-2sqrt2)^(1/N) v^2 re-checked when they hold.
-    """
-    N = (1 << (n - 1)) - 1
-    u, v = split.u, split.v
-    if u == 0 or v == 0:
-        return False
-    r = Fraction(u, v)
-    if r <= 0:
-        return False
-    ctx = rounding.iv_context(bits)
-    theta2 = ctx.exp(ctx.log(ctx.mpf(2)) * 2 / N)
-    lo_b = ctx.exp(ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N)
-    hi_b = ctx.exp(ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2))) / N)
-    ratio = ctx.mpf(r.numerator) / r.denominator
-    b_lo = rounding.iv_endpoints(lo_b)[1]   # certified upper of the lower bracket
-    b_hi = rounding.iv_endpoints(hi_b)[0]   # certified lower of the upper bracket
-    for val in (ratio / theta2, theta2 / ratio):
-        v_lo, v_hi = rounding.iv_endpoints(val)
-        if not (v_lo > b_lo and v_hi < b_hi):
-            return False
-    # consequence: c > theta^2 (3-2sqrt2)^(1/N) v^2
-    cons = theta2 * lo_b * (v * v)
-    return Fraction(c) > rounding.iv_endpoints(cons)[1]
 
 
 def initial_divisor_bound(n: int) -> int:

@@ -113,7 +113,6 @@ SIEVE_PRIME_CAP = 1201
 @dataclass
 class Effort:
     exact_bit_budget: int = 1 << 20
-    lattice_pool: dict[int, Any] | None = None   # prime -> DivisorBoundCertificate
 
 
 Cert = dict[str, Any]
@@ -447,14 +446,7 @@ def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert:
         if is_perfect_square(a_p):
             return {"kind": "counterexample", "index": p}
         return {"kind": "prime-exact", "index": p}
-    pool = effort.lattice_pool or {}
-    cert = pool.get(p)
-    if cert is not None and cert.c_exclusion >= c:
-        return {"kind": "prime-lattice", "index": p, "certificate": cert}
-    required = lattice_mod.required_divisor_bound(p, c)
-    cert = lattice_mod.prove_divisor_bound(p, required)
-    if effort.lattice_pool is not None:
-        effort.lattice_pool[p] = cert
+    cert = lattice_mod.prove_divisor_bound(p, lattice_mod.required_divisor_bound(p, c))
     return {"kind": "prime-lattice", "index": p, "certificate": cert}
 
 
@@ -571,31 +563,12 @@ def verify_classification(c: int, effort: Effort | None = None) -> VerificationR
                               tracks, _combine(tracks))
 
 
-def shared_lattice_pool(x_bound: int) -> dict[int, Any]:
-    """Pre-proved divisor-bound certificates covering every |c| <= x_bound."""
-    pool: dict[int, Any] = {}
-    if x_bound < 4:
-        return pool
-    cap = stable_iterate_bound(x_bound)
-    for p in primes_to(cap):
-        if p >= 5:
-            required = lattice_mod.required_divisor_bound(p, x_bound)
-            pool[p] = lattice_mod.prove_divisor_bound(p, required)
-    return pool
-
-
-def verify_range(c_lo: int, c_hi: int, effort: Effort | None = None,
-                 progress=None):
+def verify_range(c_lo: int, c_hi: int, effort: Effort | None = None):
     """Reports for every admissible c in [c_lo, c_hi], ascending."""
     effort = effort if effort is not None else Effort()
-    if effort.lattice_pool is None:
-        effort.lattice_pool = {}
     for c in range(c_lo, c_hi + 1):
-        if c in (0, -1):
-            continue
-        yield verify_classification(c, effort)
-        if progress:
-            progress(c)
+        if c not in (0, -1):
+            yield verify_classification(c, effort)
 
 
 # --- offline rechecking ------------------------------------------------------

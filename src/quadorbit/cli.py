@@ -14,8 +14,7 @@ import time
 from fractions import Fraction
 
 from . import curves, density, lattice
-from .classify import (Effort, report_to_json, shared_lattice_pool,
-                       verify_classification, verify_range)
+from .classify import report_to_json, verify_classification
 from .orbit import (BitBudgetExceeded, critical_numerator, half_sum_status,
                     orbit_point)
 from .primes import FactorizationBudget
@@ -24,9 +23,8 @@ from .sieve import (compare_congruence_tables, format_congruence_table,
                     load_static_congruence_table, regenerate_congruence_table)
 
 
-def _classify_worker(payload) -> dict:
-    c, effort = payload
-    return report_to_json(verify_classification(c, effort))
+def _classify_worker(c: int) -> dict:
+    return report_to_json(verify_classification(c))
 
 
 def _parse_big(text: str) -> int:
@@ -89,22 +87,19 @@ def _format_report_line(rep: dict) -> str:
 
 
 def cmd_classify(args) -> int:
-    effort = Effort()
     t0 = time.time()
     if args.range:
         lo, hi = _parse_range(args.range)
         cs = [c for c in range(lo, hi + 1) if c not in (0, -1)]
-        if args.jobs > 1:
-            effort.lattice_pool = shared_lattice_pool(max(abs(lo), abs(hi)))
-            import concurrent.futures as cf
-            with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                payload = list(ex.map(_classify_worker, ((c, effort) for c in cs),
-                                      chunksize=max(1, len(cs) // (8 * args.jobs))))
-        else:
-            effort.lattice_pool = {}
-            payload = [report_to_json(r) for r in verify_range(lo, hi, effort)]
     else:
-        payload = [report_to_json(verify_classification(args.c, effort))]
+        cs = [args.c]
+    if args.jobs > 1:
+        import concurrent.futures as cf
+        with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+            payload = list(ex.map(_classify_worker, cs,
+                                  chunksize=max(1, len(cs) // (8 * args.jobs))))
+    else:
+        payload = [_classify_worker(c) for c in cs]
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1)

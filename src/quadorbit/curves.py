@@ -68,7 +68,3 @@ def integral_points(curve_id: str, height: int) -> list[IntegralPoint]:
 def x_values(curve_id: str, height: int) -> tuple[int, ...]:
     return tuple(sorted({p.x for p in integral_points(curve_id, height)}))
 
-
-def check_known_points(curve_id: str, height: int) -> bool:
-    """Does the bounded search reproduce the reference x-list exactly?"""
-    return x_values(curve_id, height) == KNOWN_X[curve_id]

@@ -359,11 +359,18 @@ class DivisorBoundCertificate:
         return sum(t.final.doublings for t in self.traces)
 
 
+def _start_bits(n: int, magnitude_bits: int) -> int:
+    """First precision for a rounding of xi B^2 or sqrt(X / xi).  xi is
+    1 - 0.38 / N to first order, so when B^2 or X is small against N the
+    value lies about 2^-(n-1) from an integer, and n + 64 bits decide it."""
+    return max(n, magnitude_bits) + 64
+
+
 def _c_exclusion(n: int, B: int, L: rounding.Constant) -> int:
     """floor(xi B^2): one enclosure of xi, from the given L table, scaled
     exactly by B^2."""
     N = (1 << (n - 1)) - 1
-    xi = rounding.Enclosure(lambda ctx: _xi(ctx, N, L), 2 * B.bit_length() + 64)
+    xi = rounding.Enclosure(lambda ctx: _xi(ctx, N, L), _start_bits(n, 2 * B.bit_length()))
     return xi.floor(B * B)
 
 
@@ -388,7 +395,7 @@ def required_divisor_bound(n: int, x_bound: int) -> int:
     def build(ctx):
         return ctx.sqrt(ctx.mpf(x_bound) / _xi(ctx, N, _PROVER_L))
 
-    return rounding.Enclosure(build, x_bound.bit_length() + 64).floor() + 1
+    return rounding.Enclosure(build, _start_bits(n, x_bound.bit_length())).floor() + 1
 
 
 def prove_divisor_bound(n: int, target_bound: int) -> DivisorBoundCertificate:

@@ -126,41 +126,6 @@ def half_sum_status(c: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Hal
     return HalfSumStatus(c, n, cls, root=root, two_adic_valuation=v2)
 
 
-class Provenance(Enum):
-    NEGATIVE = "negative"
-    CLOSED_FORM_A3A4 = "closed_form_a3a4"
-    SIEVE = "sieve"
-    RIGID_CLOSURE = "rigid_closure"
-    LATTICE = "lattice"
-
-
-@dataclass(frozen=True)
-class NonSquareIndices:
-    """Indices n with a_n(c) certified non-square, with per-index provenance."""
-    c: int
-    proven: dict[int, Provenance]
-
-
-def extend_by_rigid_divisibility(s: NonSquareIndices, horizon: int) -> NonSquareIndices:
-    """Close the proven set under multiples up to the horizon.
-
-    A positive non-square a_m carries a prime of odd valuation, and that
-    valuation persists at every multiple index, so each jm <= horizon is
-    non-square too.  Negative-sign certificates cannot seed this (all
-    valuations of a negative non-square may be even), and with c > 0 they
-    mark an inconsistent state.
-    """
-    new = dict(s.proven)
-    for m, prov in sorted(s.proven.items()):
-        if prov is Provenance.NEGATIVE:
-            if s.c > 0:
-                raise ValueError(f"index {m} marked NEGATIVE but c = {s.c} > 0")
-            continue
-        for j in range(2 * m, horizon + 1, m):
-            new.setdefault(j, Provenance.RIGID_CLOSURE)
-    return NonSquareIndices(s.c, new)
-
-
 def padic_valuation(x: int, p: int) -> int:
     """Exponent of the prime p in x; x must be nonzero."""
     if x == 0:

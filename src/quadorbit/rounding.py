@@ -27,12 +27,11 @@ from mpmath.libmp import (from_man_exp, mpci_exp, mpf_add, mpf_pos, mpi_exp,
 MAX_BITS = 1 << 22
 # Doublings a rounding may take once only the side of an integer is left to
 # decide.  verify_no_squares_up_to plus its checker at X = 10^100, ~8*10^300
-# and 10^1000, and classify plus recheck over |c| <= 3000, need none.  The
-# test suite's most is 5: required_divisor_bound(1657, 10^9) starts at 94
-# bits, and its value lies within about 2^-1650 of an integer.  A value on
-# an integer would otherwise refine to MAX_BITS: 10 s for sqrt(7)^2, and
-# about an hour for a builder that calls exp (2.5 s at 2^17 bits, 4x per
-# doubling).
+# and 10^1000, and classify plus recheck over |c| <= 3000, need none;
+# outside the tests of Enclosure itself, the test suite's most is one (an
+# escalation pass run at 16 working bits).  A value on an integer would
+# otherwise refine to MAX_BITS: 10 s for sqrt(7)^2, and about an hour for a
+# builder that calls exp (2.5 s at 2^17 bits, 4x per doubling).
 MAX_DOUBLINGS = 8
 DEFAULT_BITS = 128
 

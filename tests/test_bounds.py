@@ -5,18 +5,36 @@ import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
 from quadorbit import rounding
-from quadorbit.bounds import (Decision, F_bounds, analytic_nonsquare_test,
-                              check_split_bounds, eps_limit_bounds, eps_n_bounds,
-                              find_coprime_power_split, initial_divisor_bound,
-                              profile, q_ratio, q_ratio_square_part,
-                              square_split_inequality, stable_iterate_bound,
-                              valuation_split_inequality, FactorSplit)
-from quadorbit.orbit import critical_numerators, is_perfect_square
+from quadorbit.bounds import (_F, _eps_limit, find_coprime_power_split,
+                              initial_divisor_bound, square_split_inequality,
+                              stable_iterate_bound, valuation_split_inequality)
+from quadorbit.orbit import critical_numerators
+from quadorbit.primes import coprime_splits
 
 
 def _contains(bounds, value, tol=1e-12):
     lo, hi = bounds
     return float(lo) - tol <= value <= float(hi) + tol
+
+
+def F_bounds(c):
+    return rounding.interval_fractions(lambda ctx: _F(ctx, c))
+
+
+def eps_limit_bounds(c):
+    return rounding.interval_fractions(lambda ctx: _eps_limit(ctx, c))
+
+
+def eps_n_bounds(c, n):
+    # sqrt(c) log((sqrt(a_n) + a_{n-1}) / (sqrt(a_n) - a_{n-1})), which
+    # increases in n to the limit _eps_limit encloses
+    a_prev, a_n = critical_numerators(c, n)[-2:]
+
+    def build(ctx):
+        r = ctx.sqrt(ctx.mpf(a_n))
+        return ctx.sqrt(ctx.mpf(c)) * ctx.log((r + a_prev) / (r - a_prev))
+
+    return rounding.interval_fractions(build, 192)
 
 
 def test_F_values():
@@ -65,18 +83,11 @@ def test_normalized_terms_increase_to_limit():
             prev = norm
 
 
-def test_q_ratios():
-    assert q_ratio(6) == Fraction(3, 2)
-    assert q_ratio_square_part(6) == Fraction(6)       # needs the (1, 6) split
-    assert q_ratio(10 ** 6) == Fraction(5 ** 6, 2 ** 6)
-    assert q_ratio_square_part(13) == Fraction(13)     # prime: only (1, 13)
-
-
 def test_ratio_inequality_42():
     # eps(c) / (sqrt(c) log q(c)) < 3.46 for c >= 4; the max sits at c = 6
     worst, worst_c = 0, None
     for c in range(4, 200):
-        q = q_ratio(c)
+        q = min(Fraction(v, u) for u, v in coprime_splits(c) if v > u)
         hi = rounding.interval_fractions(
             lambda ctx: (_eps(ctx, c)) / (ctx.sqrt(ctx.mpf(c)) *
                                           ctx.log(ctx.mpf(q.numerator) / q.denominator)))[1]
@@ -130,30 +141,6 @@ def test_stable_iterate_bound_values():
     assert stable_iterate_bound(10 ** 1000) == 1662
 
 
-def test_profile():
-    p = profile(6)
-    assert p.q == Fraction(3, 2)
-    assert p.qtilde == Fraction(6)
-    assert p.m_bound == stable_iterate_bound(6)
-    p4 = profile(4)
-    assert p4.F[0] == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        profile(3)
-
-
-def test_analytic_nonsquare_decisions():
-    assert analytic_nonsquare_test(5, 4) is Decision.NONSQUARE_PROVEN   # odd
-    assert analytic_nonsquare_test(101, 7) is Decision.NONSQUARE_PROVEN
-    # sqrt(c) <= (2^(n-1)-1)/log4 - 3 route
-    assert analytic_nonsquare_test(100, 20) is Decision.NONSQUARE_PROVEN
-    # near-balanced split: q barely above 1, small n undecided
-    assert q_ratio(9900) == Fraction(100, 99)
-    assert analytic_nonsquare_test(9900, 5) is Decision.UNDECIDED
-    assert analytic_nonsquare_test(9900, 12) is Decision.NONSQUARE_PROVEN
-    with pytest.raises(ValueError):
-        analytic_nonsquare_test(3, 4)
-
-
 def test_split_inequalities():
     # squarefree c always passes the odd/even valuation version
     for c in (6, 10, 30, 4002):
@@ -202,13 +189,6 @@ def test_split_search_examples():
     s3 = find_coprime_power_split(3, 2)  # a_2(3) = 4
     assert s3 is not None and (s3.u, s3.v) == (1, 3)
     assert find_coprime_power_split(6, 3) is None  # a_3(6) = 265 not a square
-
-
-def test_split_bounds_check():
-    # odd-c synthetic split: the even-c bracket rightly rejects it
-    assert not check_split_bounds(3, 2, FactorSplit(3, 2, 1, 3))
-    # genuine even-c split from the square a_2(8) = 9: all four hold
-    assert check_split_bounds(8, 2, FactorSplit(8, 2, -8, -1))
 
 
 def test_conservative_rounding_stability():

@@ -131,20 +131,30 @@ def test_lattice_route_for_huge_even_c():
     # matches, and both split inequalities fail: only the iterate-bound route
     # remains, and the small exact budget forces the lattice certificates
     c = 4 * 50106 ** 2
-    eff = Effort(exact_bit_budget=256, lattice_pool={})
-    rep = verify_classification(c, eff)
+    rep = verify_classification(c, Effort(exact_bit_budget=256))
     assert rep.verified
     kinds = {k["kind"] for t in rep.tracks for k in t.certificates}
     assert "iterate-bound" in kinds and "prime-lattice" in kinds
     recheck_report(rep)
-    assert eff.lattice_pool  # certificates cached for reuse across a range
+
+
+def test_lattice_route_report_does_not_depend_on_order():
+    # a report is a function of c alone: classifying c after other lattice-route
+    # values, through one Effort as verify_range does, gives the report for c alone
+    cs = (5328, 7920, 9800)
+    shared = Effort(exact_bit_budget=256)
+    in_sequence = [rep for c in cs for rep in verify_range(c, c, shared)]
+    for c, rep in zip(cs, in_sequence):
+        alone = verify_classification(c, Effort(exact_bit_budget=256))
+        assert any(k["kind"] == "prime-lattice" for k in alone.tracks[0].certificates), c
+        assert report_to_json(rep) == report_to_json(alone), c
+        recheck_report(rep)
+        recheck_report(alone)
 
 
 def test_range_results_verified_and_profiles_stable():
-    eff = Effort()
-    eff.lattice_pool = {}
     seen = 0
-    for rep in verify_range(-600, 600, eff):
+    for rep in verify_range(-600, 600):
         assert rep.verified, rep.c
         seen += 1
     assert seen == 1199
@@ -370,7 +380,7 @@ def test_recheck_rejects_a_profile_that_is_not_the_cases():
 def lattice_route_report():
     # the iterate-bound route with lattice certificates: see
     # test_lattice_route_for_huge_even_c
-    return verify_classification(4 * 50106 ** 2, Effort(exact_bit_budget=256, lattice_pool={}))
+    return verify_classification(4 * 50106 ** 2, Effort(exact_bit_budget=256))
 
 
 def test_recheck_rejects_every_single_certificate_deletion(lattice_route_report):
@@ -397,9 +407,8 @@ def test_recheck_accepts_every_honest_report(lattice_route_report):
     quartic = [4 * m * m * (m * m - 1) for m in range(2, 11)]
     cs = [c for c in range(-3000, 3001) if c not in (0, -1)]
     cs += [-m * m for m in range(55, 301)] + quartic
-    eff = Effort(lattice_pool={})
     for c in cs:
-        rep = verify_classification(c, eff)
+        rep = verify_classification(c)
         assert rep.verified, c
         recheck_report(rep)
     recheck_report(lattice_route_report)

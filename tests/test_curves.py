@@ -1,5 +1,4 @@
-from quadorbit.curves import (CURVES, KNOWN_X, check_known_points,
-                              integral_points, x_values)
+from quadorbit.curves import CURVES, KNOWN_X, integral_points, x_values
 
 
 def test_point_lists_at_moderate_height():
@@ -30,4 +29,4 @@ def test_sign_twin_curves():
 
 def test_check_known_points():
     for cid in KNOWN_X:
-        assert check_known_points(cid, 2000)
+        assert x_values(cid, 2000) == KNOWN_X[cid]

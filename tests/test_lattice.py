@@ -636,6 +636,24 @@ def test_exclusion_bound_scaling():
             assert c_exclusion_bound(n, req) >= X > c_exclusion_bound(n, req - 1)
 
 
+def test_exclusion_roundings_decide_at_their_start_precision(monkeypatch):
+    # for a large index and a small bound the value lies about 2^-(n-1) from
+    # an integer: the first enclosure is sized to n, not only to B or X
+    calls = []
+    enclose = rounding.Enclosure._enclose
+
+    def counted(self):
+        calls.append(self._bits)
+        enclose(self)
+
+    monkeypatch.setattr(rounding.Enclosure, "_enclose", counted)
+    for bound, args in ((c_exclusion_bound, (1657, 31623)),
+                        (required_divisor_bound, (1657, 4))):
+        calls.clear()
+        bound(*args)
+        assert len(calls) == 1, (bound.__name__, calls)
+
+
 def test_rounding_layer_digest_at_1e1000():
     # every initial and required bound a 10^1000 certificate rests on; a
     # change to any stab rounding changes this digest and must be declared

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadorbit.orbit import (BitBudgetExceeded, NonSquareIndices, Provenance,
-                             SquareClass, critical_numerator, critical_numerators,
-                             extend_by_rigid_divisibility, half_sum_status,
-                             is_perfect_square, isqrt_if_square, orbit_point,
-                             padic_valuation)
+from quadorbit.orbit import (BitBudgetExceeded, SquareClass, critical_numerator,
+                             critical_numerators, half_sum_status, is_perfect_square,
+                             isqrt_if_square, orbit_point, padic_valuation)
 
 
 def iterate_rational(c, n):
@@ -133,30 +131,6 @@ def test_rigid_divisibility_empirical():
                 if e > 0:
                     for j in range(2, 12 // n + 1):
                         assert padic_valuation(seq[j * n - 1], p) == e, (c, p, n, j)
-
-
-def test_rigid_closure():
-    s = NonSquareIndices(5, {2: Provenance.SIEVE})
-    closed = extend_by_rigid_divisibility(s, 10)
-    assert set(closed.proven) == {2, 4, 6, 8, 10}
-    assert closed.proven[4] is Provenance.RIGID_CLOSURE
-    again = extend_by_rigid_divisibility(closed, 10)
-    assert again.proven == closed.proven  # idempotent
-
-    s3 = NonSquareIndices(7, {3: Provenance.SIEVE})
-    assert set(extend_by_rigid_divisibility(s3, 12).proven) == {3, 6, 9, 12}
-
-    empty = NonSquareIndices(7, {})
-    assert extend_by_rigid_divisibility(empty, 100).proven == {}
-
-
-def test_rigid_closure_rejects_negative_with_positive_c():
-    s = NonSquareIndices(5, {2: Provenance.NEGATIVE})
-    with pytest.raises(ValueError):
-        extend_by_rigid_divisibility(s, 10)
-    # for c < 0 negative certificates are skipped, not rejected
-    s_neg = NonSquareIndices(-5, {2: Provenance.NEGATIVE})
-    assert extend_by_rigid_divisibility(s_neg, 10).proven == s_neg.proven
 
 
 def test_padic_valuation():
