@@ -398,10 +398,16 @@ def required_divisor_bound(n: int, x_bound: int) -> int:
     return rounding.Enclosure(build, _start_bits(n, x_bound.bit_length())).floor() + 1
 
 
-def prove_divisor_bound(n: int, target_bound: int) -> DivisorBoundCertificate:
-    """Escalate from the initial bound until it exceeds the target."""
-    b0 = initial_divisor_bound(n)
-    initial = b0
+def prove_divisor_bound(n: int, target_bound: int,
+                        initial: int | None = None) -> DivisorBoundCertificate:
+    """Escalate from the initial bound until it exceeds the target.
+
+    initial is initial_divisor_bound(n), passed by a caller that already
+    holds it so that it is not enclosed again.
+    """
+    if initial is None:
+        initial = initial_divisor_bound(n)
+    b0 = initial
     traces: list[EscalationTrace] = []
     while b0 <= target_bound:
         if len(traces) >= MAX_PASSES:
@@ -418,15 +424,16 @@ def prove_divisor_bound(n: int, target_bound: int) -> DivisorBoundCertificate:
 def check_trace(trace: EscalationTrace) -> None:
     """Re-verify one trace from its stored integers alone.
 
-    Encloses each constant (theta / N and delta^2) once, at twice the
-    producer's precision, refining only when a rounding is undecided, and
-    scales the enclosures exactly to re-derive theta^2 B0^8, the target, the
-    lattice scale, d and the x^6 floor.  delta^2 takes L = log(3 + 2 sqrt 2)
-    from the checker's own table, which the producer never reads.  Half-up
-    and ceiling values are precision-independent, so exact equality with the
-    stored integers is the test.  Recomputes sigma from the stored points and
-    re-derives the outgoing bound from the h-window.  Shares no computed
-    value with the producer.  Raises TraceError on any mismatch.
+    Encloses each constant once at 2 * trace.bits, refining only when a
+    rounding is undecided, and scales the enclosures exactly to re-derive
+    theta^2 B0^8, the target, the lattice scale, d and the x^6 floor.  For
+    theta / N that is twice the producer's precision.  The producer encloses
+    delta^2 at 2 * bits too, so its independence rests on L = log(3 +
+    2 sqrt 2) from the checker's own table, which the producer never reads.
+    Half-up and ceiling values are precision-independent, so exact equality
+    with the stored integers is the test.  Recomputes sigma from the stored
+    points and re-derives the outgoing bound from the h-window.  Shares no
+    computed value with the producer.  Raises TraceError on any mismatch.
     """
     N = (1 << (trace.n - 1)) - 1
     if N != trace.N:
@@ -522,7 +529,7 @@ def stab_entry_for_prime(p: int, x_bound: int) -> StabEntry:
     b0 = initial_divisor_bound(p)
     if b0 >= required:
         return StabEntry(p, required, b0, None)
-    return StabEntry(p, required, b0, prove_divisor_bound(p, required))
+    return StabEntry(p, required, b0, prove_divisor_bound(p, required, b0))
 
 
 def verify_no_squares_up_to(x_bound: int, progress=None,

@@ -12,28 +12,44 @@ than settle on an endpoint past MAX_BITS, or after MAX_DOUBLINGS doublings
 that each left it between two adjacent integers.  interval_fractions is the
 one fixed-precision enclosure, for one-sided tests that may fail to decide.
 A Constant keeps one enclosure of a fixed real, in a context of its own, for
-builders that use that real at many precisions.  Both contexts widen each
-exp result by one ulp outward, since mpmath's can miss the true value.
+builders that use that real at many precisions.
+
+Both contexts evaluate exp through _exp_bounds, a Taylor series in fixed
+point whose truncation errors are counted, so its enclosure is certified
+without trusting mpmath's exp.  mpf_exp is not accurate to an ulp at high
+precision: rounded up, it falls short of exp(x) by 1.6 ulps at 8000 bits
+for some x near 2^-22, and by 172 ulps at 17104 bits for the argument of
+delta^2 at p = 37 in the 10^1000 run.  An interval exp([a, b]) costs one
+series when the width w >= b - a is below 2^-(prec // 2), as it is for
+every argument the lattice and bounds build (a few ulps wide): with hi(a)
+the series' upper bound, exp(b) <= exp(a) exp(w) <= hi(a)(1 + w + w^2) for
+0 <= w <= 1, which lies within about two ulps of exp(b), since
+hi(a) w^2 < 2 ulps.  A wider argument takes a second series, at b.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import (from_man_exp, mpci_exp, mpf_add, mpf_pos, mpi_exp,
-                          round_ceiling, round_floor)
+from mpmath.libmp import (fzero, from_man_exp, mpci_exp, mpf_add, mpf_exp, mpf_mul, mpf_pos,
+                          mpf_sub, round_ceiling, round_floor)
 
 MAX_BITS = 1 << 22
 # Doublings a rounding may take once only the side of an integer is left to
 # decide.  verify_no_squares_up_to plus its checker at X = 10^100, ~8*10^300
-# and 10^1000, and classify plus recheck over |c| <= 3000, need none;
-# outside the tests of Enclosure itself, the test suite's most is one (an
-# escalation pass run at 16 working bits).  A value on an integer would
-# otherwise refine to MAX_BITS: 10 s for sqrt(7)^2, and about an hour for a
-# builder that calls exp (2.5 s at 2^17 bits, 4x per doubling).
+# and 10^1000, and classify plus recheck over |c| <= 3000, need none, with
+# exp from _exp_bounds as with mpmath's; outside the tests of Enclosure
+# itself, the test suite's most is one (an escalation pass run at 16 working
+# bits).  A value on an integer would otherwise refine to MAX_BITS: 10 s for
+# sqrt(7)^2, and about an hour for a builder that calls exp (2 s at 2^17
+# bits, 4x per doubling).
 MAX_DOUBLINGS = 8
 DEFAULT_BITS = 128
+# Precision of the argument width w >= b - a and of w + w^2 in an interval exp,
+# both rounded up: only their size matters, never their low bits.
+_WIDTH_BITS = 32
 
 Builder = Callable[[MPIntervalContext], object]
 
@@ -42,12 +58,64 @@ class PrecisionExhausted(ArithmeticError):
     """A certified decision failed even at the precision cap."""
 
 
+def _exp_bounds(x, prec: int):
+    """Certified mpf bounds lo <= exp(x) <= hi, each within about an ulp of it.
+
+    x / 2^k, with k making it below 2^-reduce_to, is cut to W fractional bits
+    (X), and exp of it summed as its even and odd Taylor series, one product
+    by X^2 per pair of terms; k squarings undo the reduction.  In units of
+    2^-W: X^2 is off by at most 2, cutting X^2 to the bits a small term
+    needs costs at most 2 more, each product and division floors by under
+    1, and a term's own error shrinks at least 4-fold through the next
+    product, so every term is within 8 of its true value; once a term rounds
+    to 0, the rest of its series sums to under 16.  So S = s0 + s1 X, from
+    j - 2 terms, is off by less than E = 8 j + 32.  Squaring S +- E gives
+    S^2 +- (2 E S + E^2), plus one for the floor.  The guard bits of W keep
+    E far below an ulp of the result.
+    """
+    sign, man, exp, bc = x
+    if not man:                          # 0, +-inf, nan: mpf_exp is exact
+        v = mpf_exp(x, prec)
+        return v, v
+    if sign:
+        man = -man
+    mag = exp + bc                       # |x| < 2^mag
+    reduce_to = max(4, isqrt(prec) // 2)
+    k = max(0, mag + reduce_to)
+    W = prec + k + 2 * prec.bit_length() + 8
+    if sign and mag > 0:                 # exp(x) >= 2^(-1.5 * 2^mag)
+        W += 3 << (mag - 1)
+    sh = exp + W - k
+    X = man << sh if sh >= 0 else man >> -sh
+    X2 = X * X >> W
+    one = 1 << W
+    s0 = s1 = a = one                    # sums of x^2i / (2i)! and x^2i / (2i + 1)!
+    j = 2
+    while a:
+        s = W + 1 - a.bit_length()
+        a = (a * (X2 >> s) >> (W - s)) // j
+        s0 += a
+        a //= j + 1
+        s1 += a
+        j += 2
+    S, E = s0 + (s1 * X >> W), 8 * j + 32
+    for _ in range(k):
+        S, E = S * S >> W, ((2 * E * S + E * E) >> W) + 2
+    return (from_man_exp(S - E, -W, prec, round_floor),
+            from_man_exp(S + E, -W, prec, round_ceiling))
+
+
 def _mpi_exp_outward(s, prec: int):
-    # mpf_exp rounds a (prec + 14)-bit approximation in the asked direction, so an endpoint
-    # can miss the true value by far less than an ulp, 2^(exp + bc - prec): move it one out
-    lo, hi = mpi_exp(s, prec)
-    return (mpf_add(lo, from_man_exp(-1, lo[2] + lo[3] - prec), prec, round_floor),
-            mpf_add(hi, from_man_exp(1, hi[2] + hi[3] - prec), prec, round_ceiling))
+    # one series at a bounds exp(b) from above as well, while w^2 < 2^(1 - prec)
+    a, b = s
+    lo, hi = _exp_bounds(a, prec)
+    w = mpf_sub(b, a, _WIDTH_BITS, round_ceiling)
+    if w == fzero or w[1] and w[2] + w[3] <= -(prec // 2):
+        w_w2 = mpf_add(w, mpf_mul(w, w, _WIDTH_BITS, round_ceiling), _WIDTH_BITS, round_ceiling)
+        hi = mpf_add(hi, mpf_mul(hi, w_w2, prec, round_ceiling), prec, round_ceiling)
+    else:
+        hi = _exp_bounds(b, prec)[1]
+    return lo, hi
 
 
 class _OutwardContext(MPIntervalContext):

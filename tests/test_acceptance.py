@@ -102,7 +102,6 @@ def test_criterion_3_stab_verify_budgets():
 def test_criterion_4_desk_scale_classification():
     t0 = time.time()
     eff = Effort()
-    eff.lattice_pool = {}
     count = 0
     for rep in verify_range(-10 ** 4, 10 ** 4, eff):
         assert rep.verified, rep.c

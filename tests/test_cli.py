@@ -172,6 +172,16 @@ def test_stab_verify_worker_pool_prints_the_same_bytes(capsys):
         "6b5d39836fc6a8d9b1dcd7e942493e273b1bdc1533a4890a58ad862008b1165b"
 
 
+def test_stab_verify_1e300_trace_digest(capsys):
+    # byte identity of the certificate the stab_e300 benchmark workload's
+    # scale produces, every trace included
+    assert main(["stab-verify", "--x", "1e300", "--emit-trace", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["elapsed_seconds"]
+    assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
+        "5f75e999502e6563ee646b6542a35678a93893532cf309255cdbfd448835c40d"
+
+
 def test_trace_json_past_the_int_digit_limit(capsys):
     # trace integers at 1e100 pass 640 digits, as those at 1e1000 pass the
     # default 4300: writing them must not depend on the interpreter's limit

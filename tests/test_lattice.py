@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_man_exp, mpf_add, mpf_exp, round_ceiling, round_floor
 
 from quadorbit import bounds, lattice, rounding
 from quadorbit.primes import primes_to
@@ -163,6 +164,111 @@ def test_interval_exp_rounds_outward(bits, arg):
                       rounding.Constant(build)(rounding.iv_context(bits))):
         a, b = rounding.iv_endpoints(enclosure)
         assert a <= lo and hi <= b
+
+
+# --- the one-series interval exp against a reference 800 bits sharper -----
+
+_PRECS = st.one_of(st.sampled_from((53, 8000)), st.integers(53, 8000))
+_TEST_L = rounding.Constant(lattice._log_silver)   # apart from either side's table
+
+
+def _ulp(x, prec):
+    return Fraction(2) ** (x[2] + x[3] - prec)
+
+
+def _exp_reference(a, b, prec):
+    """exp(a) and exp(b) from mpmath at prec + 800 bits, each moved 2^400 of
+    its ulps out: far more than mpmath's own error there (rounding's
+    docstring), and still 2^-400 of an ulp at prec."""
+    ref = prec + 800
+    lo, hi = mpf_exp(a, ref, round_floor), mpf_exp(b, ref, round_ceiling)
+    return (rounding._mpf_to_fraction(lo) - _ulp(lo, ref) * 2 ** 400,
+            rounding._mpf_to_fraction(hi) + _ulp(hi, ref) * 2 ** 400)
+
+
+def _count_series(monkeypatch):
+    """Log the precision of every exp series."""
+    calls = []
+    series = rounding._exp_bounds
+
+    def counted(x, prec):
+        calls.append(prec)
+        return series(x, prec)
+    monkeypatch.setattr(rounding, "_exp_bounds", counted)
+    return calls
+
+
+def _outward_exp(a, b, prec):
+    """The shared context's exp of [a, b], and its number of series."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_series(mp)
+        ctx = rounding.iv_context(prec)
+        out = ctx.exp(ctx.make_mpf((a, b)))
+    return out._mpi_, len(calls)
+
+
+def _check_exp(a, b, prec, ulps):
+    """exp([a, b]) encloses the reference, each endpoint within the given
+    number of its ulps of it; returns the number of series."""
+    (lo, hi), calls = _outward_exp(a, b, prec)
+    ref_lo, ref_hi = _exp_reference(a, b, prec)
+    lo_f, hi_f = rounding._mpf_to_fraction(lo), rounding._mpf_to_fraction(hi)
+    assert lo_f <= ref_lo and ref_hi <= hi_f
+    assert ref_lo - lo_f <= ulps * _ulp(lo, prec) and hi_f - ref_hi <= ulps * _ulp(hi, prec)
+    return calls
+
+
+@st.composite
+def _narrow_intervals(draw):
+    """(a, b, prec): a of either sign and magnitude 2^-1000 to 2^3 with prec
+    bits, and b = a plus 0 to 16 of a's ulps."""
+    prec = draw(_PRECS)
+    mag = draw(st.integers(-1000, 3))
+    man = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    a = man * draw(st.sampled_from((1, -1)))
+    b = a + draw(st.integers(0, 16))
+    return from_man_exp(a, mag - prec), from_man_exp(b, mag - prec), prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_narrow_intervals())
+def test_narrow_interval_exp_takes_one_series_and_encloses(args):
+    assert _check_exp(*args, ulps=4) == 1
+
+
+def _check_lattice_exp(p, prec, which):
+    """ln 2 / N or 2 (L - ln 2) / N, the arguments of theta / N and delta^2,
+    as the lattice builds them: one series, and an enclosure."""
+    N = (1 << (p - 1)) - 1
+    ctx = rounding.iv_context(prec)
+    arg = ctx.log(ctx.mpf(2)) / N if which == "theta" else 2 * (_TEST_L(ctx) - ctx.ln2) / N
+    assert _check_exp(*arg._mpi_, prec, ulps=4) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([p for p in primes_to(1009) if p >= 5]), _PRECS,
+       st.sampled_from(("theta", "delta2")))
+def test_lattice_exp_arguments_take_one_series_and_enclose(p, prec, which):
+    _check_lattice_exp(p, prec, which)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRECS, st.integers(1, 1 << 20), st.sampled_from((1, -1)), st.integers(-3, 3),
+       st.integers(-16, 4))
+def test_wide_interval_exp_takes_two_series_and_encloses(prec, man, sign, mag, width):
+    # from a width of 2^-(prec // 2) up, b takes its own series
+    a = from_man_exp(sign * man, mag - 20)
+    b = mpf_add(a, from_man_exp(1, max(width, -(prec // 2))), 0)   # exact
+    assert _check_exp(a, b, prec, ulps=2) == 2
+
+
+@pytest.mark.parametrize("prec, p, which", [
+    (8000, 25, "delta2"), (13968, 29, "theta"), (17104, 37, "delta2")])
+def test_interval_exp_encloses_where_mpmath_misses(prec, p, which):
+    # mpmath's exp rounded up and moved one ulp out falls below exp of these
+    # arguments, by about 0.6, 100 and 170 ulps; the last two arise at
+    # X = 10^1000
+    _check_lattice_exp(p, prec, which)
 
 
 def test_lagrange_reduction_tracks_coefficients():
@@ -548,10 +654,37 @@ def test_check_trace_encloses_each_constant_once(monkeypatch):
     delta2 = _count_calls(monkeypatch, "_delta2")
     theta = _count_calls(monkeypatch, "_theta")
     check_trace(tr)
-    # theta / N once and delta^2 once (from L, without theta), both at twice
-    # the producer's precision, with no refinement needed here
+    # theta / N once, at twice the producer's precision, and delta^2 once
+    # (from the checker's L, without theta), at the producer's own 2 * bits;
+    # no refinement is needed here
     assert delta2 == [2 * tr.bits]
     assert theta == [2 * tr.bits]
+
+
+def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
+    b0 = escalation_pass(13, bounds.initial_divisor_bound(13)).b0_out
+    calls = _count_series(monkeypatch)
+    tr = escalation_pass(13, b0)     # 8 attempts, all from the same two enclosures
+    assert len(tr.attempts) == 8
+    assert calls == [tr.bits, 2 * tr.bits]     # theta / N, then delta^2
+    calls.clear()
+    check_trace(tr)
+    assert calls == [2 * tr.bits, 2 * tr.bits]
+
+
+def test_stab_entry_encloses_the_initial_bound_once(monkeypatch):
+    calls = []
+    initial = lattice.initial_divisor_bound
+
+    def counted(n):
+        calls.append(n)
+        return initial(n)
+    monkeypatch.setattr(lattice, "initial_divisor_bound", counted)
+    for p, x_bound, escalated in ((5, 10 ** 60, True), (7, 100, False)):
+        calls.clear()
+        entry = stab_entry_for_prime(p, x_bound)
+        assert (entry.certificate is not None) == escalated
+        assert calls == [p]
 
 
 def _fresh_table(monkeypatch, name, build=lattice._log_silver):
