@@ -88,6 +88,15 @@ def test_density_cli(tmp_path, capsys):
     assert csv_path.read_text().startswith("bound,")
 
 
+def test_density_cli_index_0_division_and_degenerate_c(capsys):
+    # 7 divides t = 7/2 at index 0, which the residue invariant does not cover
+    assert main(["density", "--c", "2", "--t", "7/2", "--bound", "100"]) == 0
+    assert "invariant violations: 0" in capsys.readouterr().out
+    for c in ("0", "-1"):
+        assert main(["density", "--c", c, "--bound", "100"]) == 2
+        assert "c must avoid 0 and -1" in capsys.readouterr().err
+
+
 def test_stab_verify_cli(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     assert main(["stab-verify", "--x", "1e6", "--emit-trace",
@@ -151,6 +160,8 @@ def test_density_and_table_regeneration_digests(capsys):
         "d75e36592a6b29476c1bd8915b06830ffc42ac1117fb7c33ae7e31264cd6b0a5"
     assert digest(["density", "--c", "-7", "--t", "1/2", "--bound", "100000", "--json"]) == \
         "df0010c862f3e19f5bbc4a5d13546cbea5e0bdd36e1c0b1e60acc1cf740cef6f"
+    assert digest(["density", "--c", "2", "--t", "7/2", "--bound", "100000", "--json"]) == \
+        "216edb0a85df484d31e99085caea126ed1fc9783a183848d23c2744392cba6e4"
     # exit 1: the regenerated table differs from the published one by design
     assert digest(["table1", "--regen", "--bound", "200"], code=1) == \
         "90c75d4c5790b986b54e14499fff9187d5f6721f561f33ba49096ed2b59db09d"

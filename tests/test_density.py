@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadorbit import density
 from quadorbit.density import (ExcludedPrime, _exact_zero_index, density_profile,
                                divides_orbit, profile_rows)
 from quadorbit.primes import sieve_primes
@@ -23,7 +24,8 @@ def test_nonresidue_forces_non_dividing():
             if not all(p % d for d in range(2, p)) or (2 * c) % p == 0:
                 continue
             if jacobi(-c % p, p) == -1:
-                assert not divides_orbit(p, c, 0), (p, c)
+                # the walk, which divides_orbit skips for these primes
+                assert not density._walk(p, pow(c, -1, p), 0, 0), (p, c)
 
 
 def test_exact_zero_exclusion():
@@ -128,3 +130,77 @@ def test_divides_orbit_matches_modorbit_reference():
             if c % p == 0 or t.denominator % p == 0:
                 continue
             assert divides_orbit(p, c, t) == _modorbit_divides_orbit(p, c, t), (p, c, t)
+
+
+def test_no_false_violation_for_a_division_at_index_0():
+    # p divides t itself, with (-c/p) = -1: a division at index 0, which the
+    # residue invariant does not cover
+    for c, t, p in ((7, Fraction(3), 3), (2, Fraction(7, 2), 7)):
+        assert jacobi(-c % p, p) == -1 and divides_orbit(p, c, t)
+        assert density_profile(c, t, 3000).violations == ()
+
+
+@pytest.mark.parametrize("c", (0, -1))
+def test_degenerate_c_is_rejected(c):
+    with pytest.raises(ValueError, match="avoid 0 and -1"):
+        density_profile(c, 0, 100)
+    with pytest.raises(ValueError, match="avoid 0 and -1"):
+        divides_orbit(3, c, 0)
+
+
+def test_residue_decision_equals_the_forced_walk():
+    # -4, -9 and -16 make -c a square, so the residue test never fires; c = -4,
+    # t = 1/2 has its exact zero at index 1; p divides 7/2, 3 and 15
+    cs = (2, 3, 7, 904, -7, 1000003, -4, -9, -16)
+    ts = (Fraction(0), Fraction(1, 2), Fraction(7, 2), Fraction(3), Fraction(15),
+          Fraction(-5, 9))
+    decided = 0
+    for c in cs:
+        for t in ts:
+            zero_index = _exact_zero_index(c, t)
+            for p in sieve_primes(2999)[1:]:
+                if c % p == 0 or t.denominator % p == 0:
+                    continue
+                x0 = t.numerator * pow(t.denominator, -1, p) % p
+                walked = density._walk(p, pow(c, -1, p), x0, zero_index)
+                decision = density._divides(p, c, t.numerator, t.denominator, zero_index)
+                assert decision == walked, (p, c, t)
+                decided += jacobi(-c % p, p) == -1
+    assert decided > 5000
+
+
+def _record_walks(monkeypatch):
+    walked = []
+    real_walk = density._walk
+
+    def walk(p, *args):
+        walked.append(p)
+        return real_walk(p, *args)
+
+    monkeypatch.setattr(density, "_walk", walk)
+    return walked
+
+
+def test_p_2_walks_for_odd_c(monkeypatch):
+    walked = _record_walks(monkeypatch)
+    assert divides_orbit(2, 3, 0) == _naive_divides_orbit(2, 3, Fraction(0), 0)
+    assert divides_orbit(2, -7, Fraction(1, 3)) == \
+        _naive_divides_orbit(2, -7, Fraction(1, 3), None)
+    assert walked == [2, 2]
+
+
+def test_profile_walks_residue_primes_and_the_audited_primes(monkeypatch):
+    walked = _record_walks(monkeypatch)
+    prof = density_profile(904, 0, 10 ** 4)
+    assert prof.violations == ()
+    assert walked == [p for p in sieve_primes(10 ** 4) if 904 % p
+                      and (p < density.AUDIT_BELOW or jacobi(-904 % p, p) == 1)]
+
+
+def test_audit_fires_when_the_residue_test_is_wrong(monkeypatch):
+    # a residue test that rules out every odd prime contradicts the walk
+    monkeypatch.setattr(density, "jacobi", lambda a, n: -1)
+    prof = density_profile(2, 0, 200)
+    assert prof.violations
+    assert list(prof.violations) == [p for p in sieve_primes(200)[1:]
+                                     if _naive_divides_orbit(p, 2, Fraction(0), 0)]
