@@ -222,7 +222,10 @@ def cmd_curves(args) -> int:
 
 
 def cmd_density(args) -> int:
-    t = Fraction(args.t)
+    try:
+        t = Fraction(args.t)
+    except ZeroDivisionError:
+        raise ValueError(f"--t {args.t} has a zero denominator") from None
     marks = tuple(_parse_big(tok) for tok in args.checkpoints.split(",")) \
         if args.checkpoints else None
     prof = density.density_profile(args.c, t, _parse_big(args.bound), marks)

@@ -46,16 +46,19 @@ def _exact_zero_index(c: int, t: Fraction, max_steps: int = 64) -> int | None:
     """The unique index n with f^n(t) = 0 exactly, if any.
 
     The orbit can visit 0 at most once (0 is never periodic for |c| >= 2),
-    and only while denominators remain small: once den(x) > c^2 the heights
-    grow monotonically and 0 is out of reach.
+    and only while it stays small: once den(x) > c^2 the heights grow
+    monotonically, and once |x| > 1 + |1/c|, |f(x)| >= |x|^2 - |1/c| > |x|,
+    so |x| only grows.  Either way 0 is out of reach.  The second test ends
+    orbits that stay in Z, as for c = 1 and integer t.
     """
     r = Fraction(1, c)
     x = Fraction(t)
     bound = max(4, c * c)
+    escape = 1 + abs(r)
     for n in range(max_steps):
         if x == 0:
             return n
-        if x.denominator > abs(bound) and x.numerator != 0:
+        if (x.denominator > abs(bound) and x.numerator != 0) or abs(x) > escape:
             return None
         x = x * x + r
     return None

@@ -101,6 +101,114 @@ def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int],
         b1, b2, t1, t2, n1, n2 = b2, b1, t2, t1, n2, n1
 
 
+# The cold start's word size, in bits.  Vectors are cut to 4 W bits and
+# reduced until the shorter cut vector is under 2 W bits; past a W-bit gap in
+# length, one exact step with the big quotient comes first.  _lehmer_start
+# over the prover's cold bases at X = 1e300 and 1e1000 (2 vCPUs, CPython
+# 3.11) took about the same time for W from 24 to 48, and more outside it:
+# at 16 the outer loop applies too many small maps to the full vectors, and
+# from 64 up the cut norms grow past a few machine words.
+LEHMER_W = 32
+# A cold basis whose shorter vector has fewer bits is left to the exact
+# greedy reduction; at 1e300, closest_points on the cold bases under 1200
+# bits took the same time for thresholds from 130 to 400 bits.
+LEHMER_MIN_BITS = 192
+
+
+def _bits(v: tuple[int, int]) -> int:
+    return max(abs(v[0]), abs(v[1])).bit_length()
+
+
+def _cut_reduce(u, v, floor: int):
+    """Greedy steps on the cut vectors u, v until the shorter norm is below
+    floor or the pair is reduced.  Returns the rows of the shorter and the
+    longer result over (u, v), and the number of nonzero quotients."""
+    nu = u[0] * u[0] + u[1] * u[1]
+    nv = v[0] * v[0] + v[1] * v[1]
+    dot = u[0] * v[0] + u[1] * v[1]
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    if nu > nv:
+        p0, p1, q0, q1, nu, nv = 0, 1, 1, 0, nv, nu
+    steps = 0
+    while nu >= floor:
+        m = (2 * dot + nu) // (2 * nu)
+        if m:
+            q0 -= m * p0
+            q1 -= m * p1
+            nv += m * (m * nu - 2 * dot)
+            dot -= m * nu
+            steps += 1
+        if nv >= nu:
+            break
+        p0, p1, q0, q1, nu, nv = q0, q1, p0, p1, nv, nu
+    return (p0, p1), (q0, q1), steps
+
+
+def _lehmer_start(b1: tuple[int, int], b2: tuple[int, int]) -> Transform:
+    """A unimodular map, rows over (b1, b2), to a nearly reduced basis, found
+    from leading bits (Lehmer, Amer. Math. Monthly 45, 1938, in the plane).
+
+    While the vectors differ by more than LEHMER_W bits, one exact greedy
+    step takes the big quotient.  Otherwise both are cut by
+    bits(short) - 4 W bits, the cut pair is reduced by _cut_reduce, and its
+    small map is applied to the full vectors and to the map.  The loop stops
+    when the small map is trivial or does not shorten the pair; any
+    unimodular map will do, since the exact reduction finishes from it.
+    """
+    t1, t2 = IDENTITY
+    l1, l2 = _bits(b1), _bits(b2)
+    if min(l1, l2) < LEHMER_MIN_BITS:
+        return t1, t2
+    floor = 1 << (4 * LEHMER_W)
+    while True:
+        if l1 > l2:
+            b1, b2, t1, t2, l1, l2 = b2, b1, t2, t1, l2, l1
+        if l2 - l1 > LEHMER_W:
+            n1 = b1[0] * b1[0] + b1[1] * b1[1]
+            m = (2 * (b1[0] * b2[0] + b1[1] * b2[1]) + n1) // (2 * n1)
+            if not m:
+                return t1, t2          # b2 is reduced against b1
+            b2 = (b2[0] - m * b1[0], b2[1] - m * b1[1])
+            t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
+            l2 = _bits(b2)
+            continue
+        s = max(l1 - 4 * LEHMER_W, 0)
+        (p0, p1), (q0, q1), steps = _cut_reduce(
+            (b1[0] >> s, b1[1] >> s), (b2[0] >> s, b2[1] >> s), floor)
+        if not steps:
+            return t1, t2
+        c1 = (p0 * b1[0] + p1 * b2[0], p0 * b1[1] + p1 * b2[1])
+        c2 = (q0 * b1[0] + q1 * b2[0], q0 * b1[1] + q1 * b2[1])
+        k1, k2 = _bits(c1), _bits(c2)
+        if k1 + k2 >= l1 + l2:
+            return t1, t2
+        b1, b2, l1, l2 = c1, c2, k1, k2
+        t1, t2 = ((p0 * t1[0] + p1 * t2[0], p0 * t1[1] + p1 * t2[1]),
+                  (q0 * t1[0] + q1 * t2[0], q0 * t1[1] + q1 * t2[1]))
+
+
+def _square_exceeds(e: int, R: int, n1: int) -> bool:
+    """e^2 > R n1, decided from the leading 64 bits of each factor when they
+    bracket the two sides apart, else by the exact products."""
+    e = abs(e)
+    se = max(e.bit_length() - 64, 0)
+    sr = max(R.bit_length() - 64, 0)
+    sn = max(n1.bit_length() - 64, 0)
+    a, b, c = e >> se, R >> sr, n1 >> sn
+    # e^2 lies in [a^2, (a+1)^2) 2^(2 se), and R n1 in [b c, (b+1)(c+1)) 2^(sr + sn)
+    lo, hi, rlo, rhi = a * a, (a + 1) * (a + 1), b * c, (b + 1) * (c + 1)
+    x = 2 * se - sr - sn
+    if x >= 0:
+        lo, hi = lo << x, hi << x
+    else:
+        rlo, rhi = rlo << -x, rhi << -x
+    if lo >= rhi:
+        return True
+    if hi <= rlo:
+        return False
+    return e * e > R * n1
+
+
 @dataclass(frozen=True)
 class LatticePoint:
     point: tuple[int, int]
@@ -116,16 +224,25 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
 
     start is a unimodular map whose rows, over the basis, give the basis the
     reduction starts from: the identity for a cold start, or the map that
-    reduced a nearby basis.  Reduce start * basis, then enumerate
-    coefficient rows around the coordinates of the target (Fincke-Pohst in
+    reduced a nearby basis.  A cold start first takes _lehmer_start's map
+    from leading bits, so the exact reduction of start * basis that follows
+    takes a few greedy steps either way.  Then coefficient rows are
+    enumerated around the coordinates of the target (Fincke-Pohst in
     dimension 2).  Integer arithmetic only: with D = |det| and n1 = |r1|^2
-    of the reduced basis, the target's coordinates are x1/D and x2/D and
-    row j lies e^2 / n1 from the target, with e = j D - x2.  A row is
-    skipped when e^2 > R n1, R the k-th best squared distance so far, and
-    the rows stop once both rows of a step are skipped.  Along a row, the
-    squared distance grows with the distance from the row's nearest-integer
-    centre i0, so the scan up from i0 and the scan down from i0 - 1 each
-    stop at the first point whose exact squared distance exceeds R.
+    of the reduced basis, the target's second coordinate is x2/D, and row j
+    lies e^2 / n1 from the target, with e = j D - x2.  A row is skipped when
+    e^2 > R n1, R the k-th best squared distance so far, and the rows stop
+    once both rows of a step are skipped.  Along a row, the squared distance
+    grows with the distance from the row's centre (<t, r1> - j <r1, r2>) / n1,
+    so the scan up from its nearest integer i0 and the scan down from i0 - 1
+    each stop at the first point whose exact squared distance exceeds R.
+
+    The scan is incremental: past row j0, no product of two full-size
+    numbers is taken per row skipped or per point.  Row j0 + d has
+    e = e0 + d D, its i0 is i0(j0) plus a small quotient, and its skip test
+    compares e^2 with R n1 from leading bits (_square_exceeds).  Along a
+    row, w = i r1 + j r2 - t moves by +-r1: |w|^2 by n1 +- 2 <w, r1>, and
+    <w, r1> by +-n1.
 
     The output does not depend on start.  R only falls as points are found,
     so every lattice point whose squared distance is at most the final R is
@@ -142,60 +259,69 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
     s1, s2 = start
     if s1[0] * s2[1] - s1[1] * s2[0] not in (1, -1):
         raise ValueError("start map is not unimodular")
+    if start == IDENTITY:
+        s1, s2 = _lehmer_start(b1, b2)
     r1, r2, t1, t2 = lagrange_reduce(
         (s1[0] * b1[0] + s1[1] * b2[0], s1[0] * b1[1] + s1[1] * b2[1]),
         (s2[0] * b1[0] + s2[1] * b2[0], s2[0] * b1[1] + s2[1] * b2[1]), s1, s2)
     n1 = r1[0] * r1[0] + r1[1] * r1[1]
     dot = r1[0] * r2[0] + r1[1] * r2[1]
-    rdet = r1[0] * r2[1] - r1[1] * r2[0]
-    sgn = 1 if rdet > 0 else -1
-    D = sgn * rdet
-    x1 = sgn * (t[0] * r2[1] - t[1] * r2[0])
+    sgn = 1 if det * (t1[0] * t2[1] - t1[1] * t2[0]) > 0 else -1   # of det(r1, r2)
+    D = abs(det)
     x2 = sgn * (r1[0] * t[1] - r1[1] * t[0])
-    Dn1 = D * n1
 
-    best: list[tuple[int, tuple[int, int]]] = []   # the k least (d2, coeffs)
-
-    def consider(i: int, j: int) -> int:
-        px = i * r1[0] + j * r2[0]
-        py = i * r1[1] + j * r2[1]
-        d2 = (px - t[0]) ** 2 + (py - t[1]) ** 2
-        entry = (d2, (i * t1[0] + j * t2[0], i * t1[1] + j * t2[1]))
-        if len(best) < k or entry < best[-1]:
-            bisect.insort(best, entry)
-            del best[k:]
-        return d2
-
-    def kth_best() -> int | None:
-        return best[-1][0] if len(best) == k else None
-
+    # row j0 (e0), its centre's nearest integer i00 with remainder rem0, and
+    # w and the coefficients at (i00, j0); other rows follow by small multiples
     j0 = (2 * x2 + D) // (2 * D)
+    e0 = j0 * D - x2
+    n1_2, dot_2 = 2 * n1, 2 * dot
+    i00, rem0 = divmod(2 * (t[0] * r1[0] + t[1] * r1[1]) - j0 * dot_2 + n1, n1_2)
+    w0 = i00 * r1[0] + j0 * r2[0] - t[0]
+    w1 = i00 * r1[1] + j0 * r2[1] - t[1]
+    c0 = i00 * t1[0] + j0 * t2[0]
+    c1 = i00 * t1[1] + j0 * t2[1]
+
+    best: list[tuple] = []   # the k least (d2, coeffs), each with its w
+    R = None                 # the k-th best d2
+
+    def scan(d2: int, g: int, a0: int, a1: int, v0: int, v1: int, sign: int) -> None:
+        # from one point along its row by sign * r1, until d2 exceeds R
+        nonlocal R
+        dc0, dc1, dv0, dv1 = sign * t1[0], sign * t1[1], sign * r1[0], sign * r1[1]
+        step = sign * n1
+        while R is None or d2 <= R:
+            entry = (d2, (a0, a1), v0, v1)   # coefficients never tie
+            if len(best) < k or entry < best[-1]:
+                bisect.insort(best, entry)
+                del best[k:]
+                if len(best) == k:
+                    R = best[-1][0]
+            d2 += 2 * sign * g + n1
+            g += step
+            a0, a1, v0, v1 = a0 + dc0, a1 + dc1, v0 + dv0, v1 + dv1
+
     dj = 0
     while True:
-        js = [j0 + dj, j0 - dj] if dj else [j0]
-        mins = []
-        for j in js:
-            e = j * D - x2
-            e2 = e * e               # row j lies e2 / n1 from the target
-            mins.append(e2)
-            R = kth_best()
-            if R is not None and e2 > R * n1:
+        es = []
+        for d in ((dj, -dj) if dj else (0,)):
+            e = e0 + d * D                       # row j0 + d lies e^2 / n1 away
+            es.append(e)
+            if R is not None and _square_exceeds(e, R, n1):
                 continue
-            cn = x1 * n1 - dot * e   # centre of row j: cn / (D n1)
-            i0 = (2 * cn + Dn1) // (2 * Dn1)
-            for i, step in ((i0, 1), (i0 - 1, -1)):
-                while True:
-                    d2 = consider(i, j)
-                    R = kth_best()
-                    if R is not None and d2 > R:
-                        break
-                    i += step
-        R = kth_best()
-        if R is not None and mins and min(mins) > R * n1 and dj > 0:
+            di = (rem0 - d * dot_2) // n1_2      # its centre rounds to i00 + di
+            v0 = w0 + di * r1[0] + d * r2[0]
+            v1 = w1 + di * r1[1] + d * r2[1]
+            a0 = c0 + di * t1[0] + d * t2[0]
+            a1 = c1 + di * t1[1] + d * t2[1]
+            d2 = v0 * v0 + v1 * v1
+            g = v0 * r1[0] + v1 * r1[1]
+            scan(d2, g, a0, a1, v0, v1, 1)
+            scan(d2 - 2 * g + n1, g - n1, a0 - t1[0], a1 - t1[1], v0 - r1[0], v1 - r1[1], -1)
+        if dj and R is not None and all(_square_exceeds(e, R, n1) for e in es):
             break
         dj += 1
-    return ([LatticePoint((c0 * b1[0] + c1 * b2[0], c0 * b1[1] + c1 * b2[1]),
-                          (c0, c1), d2) for d2, (c0, c1) in best], (t1, t2))
+    return ([LatticePoint((v0 + t[0], v1 + t[1]), coeffs, d2)
+             for d2, coeffs, v0, v1 in best], (t1, t2))
 
 
 # --- escalation passes ------------------------------------------------------
@@ -298,12 +424,15 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     closest points to the target, converts them into a certified distance
     lower bound sigma, and extracts the new bound from the nonpositive
     window of h(x) = x6 * x^6 - sigma * x^4 + d.  Doubles the lattice scale
-    gamma until h(b0) < 0, at most MAX_DOUBLINGS times.  A doubling changes
-    only the first basis entry, so each attempt starts its reduction from
-    the map that reduced the previous one (the first from the identity):
-    the previous reduced vectors grow by about a bit, and a few greedy steps
-    reduce them again.  closest_points' output does not depend on where its
-    reduction starts, so neither does the trace.
+    gamma until h(b0) < 0, at most MAX_DOUBLINGS times.  The first attempt
+    is a cold start: closest_points takes a map from the leading bits of its
+    basis (Lehmer's method) and finishes the reduction exactly.  A doubling
+    changes only the first basis entry, so each later attempt starts its
+    reduction from the map that reduced the previous one: the previous
+    reduced vectors grow by about a bit, and a few greedy steps reduce them
+    again.  The enumeration takes full-size products only to set up its
+    first row and each row it scans.  closest_points' output does not
+    depend on where its reduction starts, so neither does the trace.
     """
     N = (1 << (n - 1)) - 1
     if N < 15:

@@ -5,12 +5,15 @@ lines.  Criteria 2 and 5 assert recorded third-party values that this
 implementation provably cannot reproduce (see the decisions ledger); they
 are implemented faithfully and left red rather than weakened.
 """
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
+from quadorbit import cli
 from quadorbit.bounds import find_coprime_power_split
 from quadorbit.classify import (CaseId, Effort, detect_case, factor_count_profile,
                                 verify_classification, verify_range)
@@ -91,6 +94,13 @@ def test_criterion_3_stab_verify_budgets():
     t0 = time.time()
     check_stab_certificate(cert1000)
     tcheck = time.time() - t0
+    # byte identity of the 1e1000 certificate, every trace included: canonical
+    # JSON (sorted keys, compact) of the stab-verify --emit-trace payload
+    with cli._any_int_digits():
+        canon = json.dumps(cli._stab_to_json(cert1000, emit_trace=True),
+                           sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == \
+        "47a0768b62be203193b35d87e8415ccba8f2fe145b27939f2c67d3bc5b71dd32"
     ok = t100 < 120 and t1000 < 3600
     _report(3, ok, f"X=1e100 in {t100:.1f}s (<120s), X=1e1000 in {t1000:.1f}s "
                    f"(<3600s), full recheck {tcheck:.1f}s; gamma doublings: "

@@ -97,6 +97,14 @@ def test_density_cli_index_0_division_and_degenerate_c(capsys):
         assert "c must avoid 0 and -1" in capsys.readouterr().err
 
 
+def test_density_cli_zero_denominator_and_integer_orbit_of_c_1(capsys):
+    assert main(["density", "--c", "2", "--t", "1/0", "--bound", "100"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    # the orbit of 1 under x^2 + 1 stays in Z: it must end, not square on
+    assert main(["density", "--c", "1", "--t", "1", "--bound", "100"]) == 0
+    assert "invariant violations: 0" in capsys.readouterr().out
+
+
 def test_stab_verify_cli(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     assert main(["stab-verify", "--x", "1e6", "--emit-trace",

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,19 @@ def test_no_false_violation_for_a_division_at_index_0():
     for c, t, p in ((7, Fraction(3), 3), (2, Fraction(7, 2), 7)):
         assert jacobi(-c % p, p) == -1 and divides_orbit(p, c, t)
         assert density_profile(c, t, 3000).violations == ()
+
+
+@pytest.mark.parametrize("t", (Fraction(1), Fraction(2), Fraction(3, 2)), ids=str)
+def test_orbits_of_c_1_end_and_match_the_naive_walk(t):
+    # under x^2 + 1 an integer t stays in Z, so only |x| > 1 + |1/c| = 2
+    # ends the search for an exact zero; it used to square on past 64 steps
+    t0 = time.perf_counter()
+    assert _exact_zero_index(1, t) is None
+    for p in sieve_primes(1999):
+        if t.denominator % p:
+            assert divides_orbit(p, 1, t) == _naive_divides_orbit(p, 1, t, None), (p, t)
+    assert density_profile(1, t, 3000).violations == ()
+    assert time.perf_counter() - t0 < 10
 
 
 @pytest.mark.parametrize("c", (0, -1))

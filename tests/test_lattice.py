@@ -6,9 +6,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_man_exp, mpf_add, mpf_exp, round_ceiling, round_floor
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_exp, round_ceiling,
+                          round_floor)
 
 from quadorbit import bounds, lattice, rounding
 from quadorbit.primes import primes_to
@@ -179,11 +180,17 @@ def _ulp(x, prec):
 def _exp_reference(a, b, prec):
     """exp(a) and exp(b) from mpmath at prec + 800 bits, each moved 2^400 of
     its ulps out: far more than mpmath's own error there (rounding's
-    docstring), and still 2^-400 of an ulp at prec."""
+    docstring), and still 2^-400 of an ulp at prec.  exp(0) = 1 is exact,
+    so an endpoint 0 gives 1, unmoved."""
     ref = prec + 800
-    lo, hi = mpf_exp(a, ref, round_floor), mpf_exp(b, ref, round_ceiling)
-    return (rounding._mpf_to_fraction(lo) - _ulp(lo, ref) * 2 ** 400,
-            rounding._mpf_to_fraction(hi) + _ulp(hi, ref) * 2 ** 400)
+
+    def endpoint(x, rnd, out):
+        if x == fzero:
+            return Fraction(1)
+        y = mpf_exp(x, ref, rnd)
+        return rounding._mpf_to_fraction(y) + out * _ulp(y, ref) * 2 ** 400
+
+    return endpoint(a, round_floor, -1), endpoint(b, round_ceiling, 1)
 
 
 def _count_series(monkeypatch):
@@ -255,6 +262,7 @@ def test_lattice_exp_arguments_take_one_series_and_enclose(p, prec, which):
 @settings(max_examples=100, deadline=None)
 @given(_PRECS, st.integers(1, 1 << 20), st.sampled_from((1, -1)), st.integers(-3, 3),
        st.integers(-16, 4))
+@example(prec=53, man=2, sign=-1, mag=3, width=-16)   # [-2^-16, 0]: exp(b) = 1 exactly
 def test_wide_interval_exp_takes_two_series_and_encloses(prec, man, sign, mag, width):
     # from a width of 2^-(prec // 2) up, b takes its own series
     a = from_man_exp(sign * man, mag - 20)
@@ -282,8 +290,9 @@ def test_lagrange_reduction_tracks_coefficients():
 # --- references: the greedy reduction and rational enumeration the integer
 # versions replaced, kept as the specification they must match exactly ------
 
-def _greedy_reduce(b1, b2):
-    """Lagrange-Gauss reduction recomputing every norm and inner product."""
+def _greedy_reduce(b1, b2, steps=None):
+    """Lagrange-Gauss reduction recomputing every norm and inner product;
+    appends one entry to the list steps, if given, per greedy step."""
     t1, t2 = (1, 0), (0, 1)
 
     def n2(v):
@@ -292,6 +301,8 @@ def _greedy_reduce(b1, b2):
     if n2(b1) > n2(b2):
         b1, b2, t1, t2 = b2, b1, t2, t1
     while True:
+        if steps is not None:
+            steps.append(1)
         d = n2(b1)
         mu2 = b1[0] * b2[0] + b1[1] * b2[1]
         m = (2 * mu2 + d) // (2 * d)
@@ -621,6 +632,17 @@ def _bits(*vectors):
     return max(abs(x).bit_length() for v in vectors for x in v)
 
 
+def _greedy_steps(b1, b2):
+    steps = []
+    _greedy_reduce(b1, b2, steps)
+    return len(steps)
+
+
+def _apply(rows, basis):
+    return tuple((c[0] * basis[0][0] + c[1] * basis[1][0],
+                  c[0] * basis[0][1] + c[1] * basis[1][1]) for c in rows)
+
+
 def test_warm_started_attempts_reduce_from_the_last_reduced_basis(monkeypatch):
     b0 = bounds.initial_divisor_bound(13)
     b0 = escalation_pass(13, b0).b0_out     # this pass takes 8 attempts
@@ -633,7 +655,7 @@ def test_warm_started_attempts_reduce_from_the_last_reduced_basis(monkeypatch):
 
     def logged_reduce(b1, b2, *rows):
         out = reduce_(b1, b2, *rows)
-        reductions.append((_bits(b1, b2), _bits(out[0], out[1])))
+        reductions.append(((b1, b2), _bits(b1, b2), _bits(out[0], out[1])))
         return out
     monkeypatch.setattr(lattice, "closest_points", counted_cvp)
     monkeypatch.setattr(lattice, "lagrange_reduce", logged_reduce)
@@ -641,12 +663,44 @@ def test_warm_started_attempts_reduce_from_the_last_reduced_basis(monkeypatch):
     assert len(tr.attempts) == 8
     # one enumeration and one reduction per attempt
     assert len(cvp_calls) == len(reductions) == len(tr.attempts)
-    # only the first attempt reduces the cold basis, tens of bits longer than
-    # its reduction; every later one starts within 2 bits of the previous
-    # reduced basis, which a cold start would not
-    assert reductions[0][0] > reductions[0][1] + 32
-    for (_, prev_out), (now_in, _) in zip(reductions, reductions[1:]):
+    # the first attempt is cold: its reduction starts from the Lehmer map,
+    # a few greedy steps from reduced, where the cold basis takes tens
+    cold = tr.attempts[0].basis
+    assert cvp_calls[0][3] == lattice.IDENTITY
+    assert reductions[0][0] == _apply(lattice._lehmer_start(*cold), cold)
+    assert _greedy_steps(*reductions[0][0]) <= 3 < 20 <= _greedy_steps(*cold)
+    # every later one starts within 2 bits of the previous reduced basis,
+    # which a cold start would not
+    for (_, _, prev_out), (_, now_in, _) in zip(reductions, reductions[1:]):
         assert now_in <= prev_out + 2
+
+
+@st.composite
+def _escalation_bases(draw):
+    """The escalation's cold shape ((a, t), (0, -B)): a of 200 to 4000 bits,
+    B of 400 to 8000, t up to twice B either way."""
+    def sized(lo, hi):
+        bits = draw(st.integers(lo, hi))
+        return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    a, B = sized(200, 4000), sized(400, 8000)
+    return (a, draw(st.integers(-2 * B, 2 * B))), (0, -B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_escalation_bases(), st.integers(-(1 << 8000), 1 << 8000),
+       st.integers(-(1 << 8000), 1 << 8000), st.sampled_from((1, 4)))
+def test_lehmer_start_is_unimodular_and_moves_no_output(basis, tx, ty, k):
+    start = lattice._lehmer_start(*basis)
+    (s1, s2), scale = start, basis[1][1]
+    assert abs(s1[0] * s2[1] - s1[1] * s2[0]) == 1
+    t = (tx % (4 * abs(scale) + 1) + scale, ty % (4 * abs(scale) + 1) + scale)
+    want = _fraction_closest(basis, t, k)
+    # from the Lehmer map, from the identity (which takes it), and from a
+    # start that is not the identity, so the greedy reduction does it all
+    for via in (start, lattice.IDENTITY, ((1, 0), (0, -1))):
+        pts, _ = closest_points(basis, t, k, via)
+        assert [(p.point, p.coeffs, p.dist2) for p in pts] == want
+    assert _greedy_steps(*_apply(start, basis)) <= 3
 
 
 def test_check_trace_encloses_each_constant_once(monkeypatch):
