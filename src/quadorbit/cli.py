@@ -250,6 +250,8 @@ def cmd_density(args) -> int:
                   "hypotheses are not met")
         for b, d, n, f in rows:
             print(f"B = {b}: {d}/{n} primes divide the orbit ({f})")
+        print(f"routes: {prof.by_tree} primes by the preimage tree, {prof.by_walk} "
+              f"by the walk, {prof.audited} tree decisions audited by a walk")
         print(f"invariant violations: {len(prof.violations)}")
     return 0 if not prof.violations else 1
 

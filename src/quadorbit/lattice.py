@@ -76,14 +76,15 @@ def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int],
     unimodular map.
 
     t1, t2 are the coefficient rows of b1, b2 over some original basis (by
-    default b1, b2 themselves).  Returns (r1, r2, t1, t2) with r1, r2 the
-    reduced basis and t1, t2 their coefficient rows over that original
-    basis: each step applies to the rows what it applies to the vectors, so
-    a reduction started from T B returns its own map composed with T.  The
-    Gram entries |b1|^2, |b2|^2 and <b1, b2> are carried through each step
-    b2 -= m b1 (|b2|^2 -= 2 m <b1, b2> - m^2 |b1|^2, <b1, b2> -= m |b1|^2)
-    rather than recomputed, so a step costs products by the small quotient
-    m only, and a nearly reduced start costs a few steps.
+    default b1, b2 themselves).  Returns (r1, r2, t1, t2, |r1|^2, <r1, r2>)
+    with r1, r2 the reduced basis and t1, t2 their coefficient rows over
+    that original basis: each step applies to the rows what it applies to
+    the vectors, so a reduction started from T B returns its own map
+    composed with T.  The Gram entries |b1|^2, |b2|^2 and <b1, b2> are
+    carried through each step b2 -= m b1 (|b2|^2 -= 2 m <b1, b2> -
+    m^2 |b1|^2, <b1, b2> -= m |b1|^2) rather than recomputed, so a step costs
+    products by the small quotient m only, a nearly reduced start costs a
+    few steps, and the caller gets the two it needs for free.
     """
     n1 = b1[0] * b1[0] + b1[1] * b1[1]
     n2 = b2[0] * b2[0] + b2[1] * b2[1]
@@ -97,7 +98,7 @@ def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int],
         n2 += m * (m * n1 - 2 * dot)
         dot -= m * n1
         if n2 >= n1:
-            return b1, b2, t1, t2
+            return b1, b2, t1, t2, n1, dot
         b1, b2, t1, t2, n1, n2 = b2, b1, t2, t1, n2, n1
 
 
@@ -261,11 +262,9 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
         raise ValueError("start map is not unimodular")
     if start == IDENTITY:
         s1, s2 = _lehmer_start(b1, b2)
-    r1, r2, t1, t2 = lagrange_reduce(
+    r1, r2, t1, t2, n1, dot = lagrange_reduce(
         (s1[0] * b1[0] + s1[1] * b2[0], s1[0] * b1[1] + s1[1] * b2[1]),
         (s2[0] * b1[0] + s2[1] * b2[0], s2[0] * b1[1] + s2[1] * b2[1]), s1, s2)
-    n1 = r1[0] * r1[0] + r1[1] * r1[1]
-    dot = r1[0] * r2[0] + r1[1] * r2[1]
     sgn = 1 if det * (t1[0] * t2[1] - t1[1] * t2[0]) > 0 else -1   # of det(r1, r2)
     D = abs(det)
     x2 = sgn * (r1[0] * t[1] - r1[1] * t[0])

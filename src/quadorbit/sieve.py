@@ -328,12 +328,15 @@ def _admission_patterns(c_class: int, k: int) -> dict[str, bool]:
     """
     seq = NumeratorTarget().reduce(c_class, k)
     W = seq.entry + 6 * seq.period + 12
-    ns = seq.map(_nonresidues(k).__getitem__).prefix(W + 1)
+    # ns[n] = 1 when index n <= W is a non-residue, built from the tail and
+    # one cycle; each pattern is a stepped slice of it
+    row = _nonresidues(k).__getitem__
+    cycle = bytes(map(row, seq.cycle))
+    ns = (bytes(map(row, seq.tail)) + cycle * (W // seq.period + 1))[:W + 1]
     return {
-        "odd_from_5": all(ns[n] for n in range(5, W + 1, 2)),
-        "offsets_7_5": (all(ns[n] for n in range(7, W + 1, 3))
-                        and all(ns[n] for n in range(5, W + 1, 3))),
-        "closure": all(ns[n] for n in range(5, W + 1, 2) if n % 3 != 0),
+        "odd_from_5": 0 not in ns[5::2],
+        "offsets_7_5": 0 not in ns[7::3] and 0 not in ns[5::3],
+        "closure": 0 not in ns[5::6] and 0 not in ns[7::6],
     }
 
 

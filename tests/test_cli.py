@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from quadorbit.cli import _parse_big, main
+from quadorbit.density import density_profile
 
 
 def test_parse_big():
@@ -95,6 +96,17 @@ def test_density_cli_index_0_division_and_degenerate_c(capsys):
     for c in ("0", "-1"):
         assert main(["density", "--c", c, "--bound", "100"]) == 2
         assert "c must avoid 0 and -1" in capsys.readouterr().err
+
+
+def test_density_cli_prints_the_routes_on_one_line(capsys):
+    assert main(["density", "--c", "904", "--t", "0", "--bound", "10000"]) == 0
+    routes = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("routes:")]
+    prof = density_profile(904, 0, 10 ** 4)
+    assert routes == [f"routes: {prof.by_tree} primes by the preimage tree, "
+                      f"{prof.by_walk} by the walk, {prof.audited} tree decisions "
+                      f"audited by a walk"]
+    assert prof.by_tree + prof.by_walk == prof.checkpoints[-1].primes
 
 
 def test_density_cli_zero_denominator_and_integer_orbit_of_c_1(capsys):

@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadorbit import density
 from quadorbit.density import (ExcludedPrime, _exact_zero_index, density_profile,
@@ -168,19 +169,26 @@ def test_residue_decision_equals_the_forced_walk():
     cs = (2, 3, 7, 904, -7, 1000003, -4, -9, -16)
     ts = (Fraction(0), Fraction(1, 2), Fraction(7, 2), Fraction(3), Fraction(15),
           Fraction(-5, 9))
-    decided = 0
+    decided = closed = 0
     for c in cs:
         for t in ts:
             zero_index = _exact_zero_index(c, t)
             for p in sieve_primes(2999)[1:]:
                 if c % p == 0 or t.denominator % p == 0:
                     continue
+                c0 = pow(c, -1, p)
                 x0 = t.numerator * pow(t.denominator, -1, p) % p
-                walked = density._walk(p, pow(c, -1, p), x0, zero_index)
+                walked = density._walk(p, c0, x0, zero_index)
                 decision = density._divides(p, c, t.numerator, t.denominator, zero_index)
                 assert decision == walked, (p, c, t)
-                decided += jacobi(-c % p, p) == -1
-    assert decided > 5000
+                by_tree = density._by_tree(p, c0, x0, zero_index)
+                assert by_tree in (None, walked), (p, c, t)
+                if jacobi(-c % p, p) == -1:
+                    # the tree's root level is the residue test: it closes at once
+                    assert by_tree == (x0 == 0 and zero_index != 0), (p, c, t)
+                    decided += 1
+                closed += by_tree is not None
+    assert decided > 5000 and closed > decided + 3000
 
 
 def _record_walks(monkeypatch):
@@ -203,18 +211,178 @@ def test_p_2_walks_for_odd_c(monkeypatch):
     assert walked == [2, 2]
 
 
+def _tree_size(p, c0):
+    """The number of points whose orbit under x -> x^2 + c0 mod p reaches 0,
+    or None when 0 is periodic; from a table of square roots, not from
+    density's."""
+    x, seen = c0, {0}
+    while x not in seen:
+        seen.add(x)
+        x = (x * x + c0) % p
+    if x == 0:
+        return None
+    roots = {x * x % p: x for x in range(1, (p + 1) // 2)}
+    size, level = 0, [0]
+    while level:
+        size += len(level)
+        below = []
+        for y in level:
+            r = roots.get((y - c0) % p)
+            if r:
+                below += (r, p - r)
+        level = below
+    return size
+
+
 def test_profile_walks_residue_primes_and_the_audited_primes(monkeypatch):
+    # a prime is walked once when its tree has more than _tree_budget(p)
+    # nodes or 0 is periodic, and once more as the audit when the tree
+    # decided it below AUDIT_BELOW; the tree sizes come from _tree_size
     walked = _record_walks(monkeypatch)
     prof = density_profile(904, 0, 10 ** 4)
     assert prof.violations == ()
-    assert walked == [p for p in sieve_primes(10 ** 4) if 904 % p
-                      and (p < density.AUDIT_BELOW or jacobi(-904 % p, p) == 1)]
+    primes = [p for p in sieve_primes(10 ** 4) if 904 % p]
+    left = set()
+    for p in primes:
+        size = _tree_size(p, pow(904, -1, p))
+        if size is None or size > density._tree_budget(p):
+            left.add(p)
+    assert walked == [p for p in primes if p < density.AUDIT_BELOW or p in left]
+    assert (prof.by_tree, prof.by_walk) == (len(primes) - len(left), len(left))
+    assert prof.audited == len([p for p in primes
+                                if p < density.AUDIT_BELOW and p not in left])
+    # the tree decides more primes than the residue test did, and every
+    # prime the residue test decided is among them
+    residue = {p for p in primes if jacobi(-904 % p, p) == -1}
+    assert not residue & left and prof.by_tree > len(residue) + 100
+
+
+def _audit_expected(tree, bound):
+    """The primes below min(bound, AUDIT_BELOW) where the tree decides c = 2,
+    t = 0 and the naive simulation disagrees with it."""
+    return [p for p in sieve_primes(min(bound, density.AUDIT_BELOW))[1:]
+            if tree(p, pow(2, -1, p), 0, 0) not in
+            (None, _naive_divides_orbit(p, 2, Fraction(0), 0))]
 
 
 def test_audit_fires_when_the_residue_test_is_wrong(monkeypatch):
-    # a residue test that rules out every odd prime contradicts the walk
-    monkeypatch.setattr(density, "jacobi", lambda a, n: -1)
+    # a tree decision that rules out every odd prime contradicts the walk;
+    # past AUDIT_BELOW nothing is walked, so nothing is recorded there
+    def tree(p, c0, x0, zero_index):
+        return None if p == 2 else False
+
+    monkeypatch.setattr(density, "_by_tree", tree)
+    prof = density_profile(2, 0, 2000)
+    assert prof.violations
+    assert list(prof.violations) == _audit_expected(tree, 2000) == \
+        [p for p in sieve_primes(density.AUDIT_BELOW)[1:]
+         if _naive_divides_orbit(p, 2, Fraction(0), 0)]
+
+
+def test_audit_fires_on_every_negated_tree_decision(monkeypatch):
+    real_tree = density._by_tree
+
+    def tree(p, c0, x0, zero_index):
+        decided = real_tree(p, c0, x0, zero_index)
+        return None if decided is None else not decided
+
+    monkeypatch.setattr(density, "_by_tree", tree)
+    prof = density_profile(2, 0, 2000)
+    assert list(prof.violations) == _audit_expected(tree, 2000)
+    assert len(prof.violations) == prof.audited > 50
+
+
+def test_audit_fires_when_the_root_level_is_wrong(monkeypatch):
+    # the residue test is the tree's root level: square roots that never
+    # exist close every tree at its root, which contradicts the walk
+    monkeypatch.setattr(density, "_square_root", lambda p: lambda a: None)
     prof = density_profile(2, 0, 200)
     assert prof.violations
     assert list(prof.violations) == [p for p in sieve_primes(200)[1:]
                                      if _naive_divides_orbit(p, 2, Fraction(0), 0)]
+
+
+# --- the square roots and the tree decision -------------------------------
+
+def test_square_root_of_every_residue():
+    # 7681 = 15 * 2^9 + 1, 12289 = 3 * 2^12 + 1, 65537 = 2^16 + 1: long
+    # Tonelli-Shanks loops
+    for p in sieve_primes(3000)[1:] + [7681, 12289, 65537]:
+        root = density._square_root(p)
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(1, p):
+            r = root(a)
+            if a in squares:
+                assert r is not None and r * r % p == a, (p, a, r)
+            else:
+                assert r is None, (p, a, r)
+
+
+def test_composite_moduli_are_refused():
+    # the roots are wrong mod a composite: 4 = 2^2 mod 15, but 4^4 = 1 mod 15
+    assert density._square_root(15)(4) is None
+    # and mod 9 no z has z^4 = -1, so Tonelli-Shanks' search must end
+    assert density._square_root(9) is None
+    assert density._by_tree(9, 2, 0, 0) is None
+    for n in (0, 1, 4, 9, 15, 25, 561, 7 * 13):
+        with pytest.raises(ValueError, match="not prime"):
+            divides_orbit(n, 2, 0)
+
+
+_PRIMES_5000 = sieve_primes(5000)
+
+
+@st.composite
+def _orbit_cases(draw):
+    """(p, c, t): p below 5000, c any or -m^2, t any, 1/m, or a multiple of p."""
+    p = draw(st.sampled_from(_PRIMES_5000))
+    m = draw(st.integers(2, 400))
+    if draw(st.booleans()):
+        c = -m * m
+    else:
+        c = draw(st.integers(-10 ** 6, 10 ** 6).filter(lambda c: c not in (0, -1)))
+    den = draw(st.integers(1, 10 ** 4))
+    kind = draw(st.sampled_from(("any", "1/m", "p | t")))
+    if kind == "1/m":
+        t = Fraction(draw(st.sampled_from((1, -1))), m)
+    elif kind == "p | t":
+        t = Fraction(p * draw(st.integers(-50, 50)), den)
+    else:
+        t = Fraction(draw(st.integers(-10 ** 6, 10 ** 6)), den)
+    assume(c % p and t.denominator % p)
+    return p, c, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_orbit_cases())
+def test_tree_decisions_match_the_naive_orbit_and_the_walk(case):
+    p, c, t = case
+    zero_index = _exact_zero_index(c, t)
+    naive = _naive_divides_orbit(p, c, t, zero_index)
+    assert density._divides(p, c, t.numerator, t.denominator, zero_index) == naive
+    c0 = pow(c, -1, p)
+    x0 = t.numerator * pow(t.denominator, -1, p) % p
+    by_tree = density._by_tree(p, c0, x0, zero_index)
+    if by_tree is not None:
+        assert by_tree == density._walk(p, c0, x0, zero_index) == naive
+
+
+def test_budget_counts_set_steps_at_the_benchmark_scale(monkeypatch):
+    # density_profile(904, 0, 3e5): 13,006 walks and 5.68M set steps when
+    # only the residue test came before the walk
+    steps = []
+    real_walk = density._walk
+
+    def walk(p, c0, x0, zero_index):
+        seen, x = set(), x0
+        while x not in seen:
+            seen.add(x)
+            x = (x * x + c0) % p
+        steps.append(len(seen))
+        return real_walk(p, c0, x0, zero_index)
+
+    monkeypatch.setattr(density, "_walk", walk)
+    prof = density_profile(904, 0, 3 * 10 ** 5)
+    assert prof.violations == ()
+    assert len(steps) == prof.by_walk + prof.audited <= 6000
+    assert sum(steps) <= 2_500_000

@@ -281,10 +281,11 @@ def test_interval_exp_encloses_where_mpmath_misses(prec, p, which):
 
 def test_lagrange_reduction_tracks_coefficients():
     b1, b2 = (336, 18401670), (0, -16777216)
-    r1, r2, t1, t2 = lagrange_reduce(b1, b2)
+    r1, r2, t1, t2, n1, dot = lagrange_reduce(b1, b2)
     for r, t in ((r1, t1), (r2, t2)):
         assert r == (t[0] * b1[0] + t[1] * b2[0], t[0] * b1[1] + t[1] * b2[1])
-    assert r1[0] ** 2 + r1[1] ** 2 <= r2[0] ** 2 + r2[1] ** 2
+    assert n1 == r1[0] ** 2 + r1[1] ** 2 <= r2[0] ** 2 + r2[1] ** 2
+    assert dot == r1[0] * r2[0] + r1[1] * r2[1]
 
 
 # --- references: the greedy reduction and rational enumeration the integer
@@ -311,6 +312,13 @@ def _greedy_reduce(b1, b2, steps=None):
         if n2(b2) >= n2(b1):
             return b1, b2, t1, t2
         b1, b2, t1, t2 = b2, b1, t2, t1
+
+
+def _reduce_with_gram(b1, b2):
+    """_greedy_reduce plus the Gram entries |r1|^2 and <r1, r2>, recomputed:
+    lagrange_reduce's return shape."""
+    r1, r2, t1, t2 = _greedy_reduce(b1, b2)
+    return r1, r2, t1, t2, r1[0] ** 2 + r1[1] ** 2, r1[0] * r2[0] + r1[1] * r2[1]
 
 
 def _fraction_closest(basis, target, k=4):
@@ -391,7 +399,7 @@ def _bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_bases())
 def test_lagrange_reduce_matches_greedy_reference(basis):
-    assert lagrange_reduce(*basis) == _greedy_reduce(*basis)
+    assert lagrange_reduce(*basis) == _reduce_with_gram(*basis)
 
 
 def test_lagrange_reduce_matches_reference_on_swapped_and_tied_bases():
@@ -399,8 +407,8 @@ def test_lagrange_reduce_matches_reference_on_swapped_and_tied_bases():
                    ((3, 4), (4, 3)), ((3, 4), (-4, 3)), ((5, 0), (3, 4)),
                    ((-7, 2), (2, 7)), ((1, 1), (1, -1)),
                    ((336, 18401670), (0, -16777216))]:
-        assert lagrange_reduce(b1, b2) == _greedy_reduce(b1, b2)
-        assert lagrange_reduce(b2, b1) == _greedy_reduce(b2, b1)
+        assert lagrange_reduce(b1, b2) == _reduce_with_gram(b1, b2)
+        assert lagrange_reduce(b2, b1) == _reduce_with_gram(b2, b1)
 
 
 @st.composite

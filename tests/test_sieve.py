@@ -9,7 +9,7 @@ from quadorbit.orbit import critical_numerators
 from quadorbit.primes import sieve_primes
 from quadorbit.sieve import (FactorTarget, NumeratorTarget, M_RULES_NEED_M_MINUS_1,
                              M_RULES_UNCONDITIONAL, SQUARE_VALUES_COMPOSITE,
-                             TermUnresolved, _nonresidues,
+                             TermUnresolved, _admission_patterns, _nonresidues,
                              certificate_at_prime, check_term_nonsquare,
                              compare_congruence_tables, find_sieve_certificate,
                              jacobi, load_static_congruence_table,
@@ -266,6 +266,35 @@ def test_nonresidue_tables_match_jacobi_and_the_square_sets():
             else:
                 expected = jacobi(v, k) == -1
             assert table[v] == expected == (v not in squares), (k, v)
+
+
+def _admission_patterns_per_index(c_class, k):
+    """The per-index statement of the three admission patterns: the
+    reference that _admission_patterns' stepped slices must match."""
+    seq = NumeratorTarget().reduce(c_class, k)
+    W = seq.entry + 6 * seq.period + 12
+    ns = seq.map(_nonresidues(k).__getitem__).prefix(W + 1)
+    return {
+        "odd_from_5": all(ns[n] for n in range(5, W + 1, 2)),
+        "offsets_7_5": (all(ns[n] for n in range(7, W + 1, 3))
+                        and all(ns[n] for n in range(5, W + 1, 3))),
+        "closure": all(ns[n] for n in range(5, W + 1, 2) if n % 3 != 0),
+    }
+
+
+def test_admission_pattern_slices_match_the_per_index_reference():
+    # moduli past 256 included: table1 --regen --bound accepts any bound
+    moduli = sorted(regenerate_congruence_table(300).rows)
+    assert moduli[-1] == 293 and {4, 8} <= set(moduli)
+    held = dict.fromkeys(("odd_from_5", "offsets_7_5", "closure"), 0)
+    for k in moduli:
+        for r in range(1, k):
+            if math.gcd(r, k) == 1:
+                got = _admission_patterns(r, k)
+                assert got == _admission_patterns_per_index(r, k), (k, r)
+                for name, ok in got.items():
+                    held[name] += ok
+    assert all(held.values()), held   # each pattern holds somewhere
 
 
 def test_table_round_trip():
