@@ -18,6 +18,18 @@ from .orbit import DEFAULT_BIT_BUDGET, critical_numerators, is_perfect_square
 from .primes import coprime_splits, factorize
 
 
+def _log_silver(ctx):
+    """L = log(3 + 2 sqrt 2), twice the log of the silver ratio 1 + sqrt 2."""
+    return ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2)))
+
+
+# L = log(3 + 2 sqrt 2) depends on neither N nor the pass, so each side keeps
+# one enclosure of it: the producer's, and the checker's, which only the
+# checking paths read, so a checked trace shares no arithmetic with its maker.
+_PROVER_L = rounding.Constant(_log_silver)
+_CHECKER_L = rounding.Constant(_log_silver)
+
+
 def _sqrt_c(ctx, c: int):
     return ctx.sqrt(ctx.mpf(c))
 
@@ -132,22 +144,23 @@ def find_coprime_power_split(c: int, n: int,
     return None
 
 
-def initial_divisor_bound(n: int) -> int:
+def initial_divisor_bound(n: int, L: rounding.Constant | None = None) -> int:
     """Starting lower bound on |v| in any split forced by a square a_n.
 
     floor(((sqrt2 - 1)^(1/N)/theta) * (N/log4 - 3)) + 1, the exact floor of
     the real value plus one (sound: |v| strictly exceeds the real value).
-    The value has about n integer bits, so the enclosure starts at n + 64
-    bits and the first one decides.
+    sqrt2 - 1 = exp(-L/2) and theta = 2^(1/N), so the ratio is the one exp
+    exp(-(L/2 + ln 2) / N) of the given L table (the producer's by
+    default; the checker passes its own), and log 4 = 2 ln 2.  The value
+    has about n integer bits, so the enclosure starts at n + 64 bits and the
+    first one decides.
     """
     if n < 5:
         raise ValueError("needs n >= 5")
     N = (1 << (n - 1)) - 1
+    L = _PROVER_L if L is None else L
 
     def build(ctx):
-        two = ctx.mpf(2)
-        theta = ctx.exp(ctx.log(two) / N)
-        base = ctx.exp(ctx.log(ctx.sqrt(two) - 1) / N)
-        return base / theta * (ctx.mpf(N) / ctx.log(4) - 3)
+        return ctx.exp(-(L(ctx) / 2 + ctx.ln2) / N) * (ctx.mpf(N) / (2 * ctx.ln2) - 3)
 
     return rounding.Enclosure(build, max(192, n + 64)).floor() + 1

@@ -73,6 +73,10 @@ class ExcludedPrime(ValueError):
     """p divides c or the denominator of t; the reduction is undefined."""
 
 
+class _NoNonResidue(ArithmeticError):
+    """Tonelli-Shanks found no non-residue under its search cap."""
+
+
 def _exact_zero_index(c: int, t: Fraction, max_steps: int = 64) -> int | None:
     """The unique index n with f^n(t) = 0 exactly, if any.
 
@@ -101,13 +105,16 @@ def _square_root(p: int):
 
     p = 3 (mod 4): a^((p+1)/4), checked by squaring.  p = 5 (mod 8): Atkin's
     a b (2 a b^2 - 1) with b = (2a)^((p-5)/8), checked by squaring.
-    p = 1 (mod 8): Tonelli-Shanks, which needs a non-residue z.  The least
-    one is an odd prime, since 2 is a residue mod such p, so the search
-    tries odd z only, and it stops below bit_length(p)^2 (past 2 ln(p)^2,
-    which bounds the least non-residue under GRH, Bach 1990); None comes
-    back in place of the function when it finds none.  For a composite p the
-    roots are wrong, and no non-residue z may exist at all (p = 9), so
-    callers check p.
+    p = 1 (mod 8): Tonelli-Shanks, which needs a non-residue z only for a
+    residue a with a^q != 1 (p - 1 = q 2^s, q odd): a non-residue is told
+    apart before z is used, so z is searched for by the first root that
+    needs it, and a tree that closes at its root never searches.  The least
+    non-residue is an odd prime, since 2 is a residue mod such p, so the
+    search tries odd z only, and it stops below bit_length(p)^2 (past
+    2 ln(p)^2, which bounds the least non-residue under GRH, Bach 1990); the
+    root that needed it raises _NoNonResidue when it finds none.  For a
+    composite p the roots are wrong, and no non-residue z may exist at all
+    (p = 9), so callers check p.
     """
     if p % 4 == 3:
         e = (p + 1) // 4
@@ -127,17 +134,22 @@ def _square_root(p: int):
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    half = (p - 1) // 2
-    z = next((z for z in range(3, min(p, p.bit_length() ** 2), 2)
-              if pow(z, half, p) == p - 1), None)
-    if z is None:
-        return None
-    zq, e = pow(z, q, p), (q - 1) // 2
+    half, e = (p - 1) // 2, (q - 1) // 2
+    found: list[int] = []                        # z^q, once a root needed it
+
+    def nonresidue_power() -> int:
+        if not found:
+            z = next((z for z in range(3, min(p, p.bit_length() ** 2), 2)
+                      if pow(z, half, p) == p - 1), None)
+            if z is None:
+                raise _NoNonResidue(p)
+            found.append(pow(z, q, p))
+        return found[0]
 
     def root(a: int) -> int | None:
         b = pow(a, e, p)
         r, t = a * b % p, a * b * b % p          # a^((q+1)/2), a^q
-        m, g = s, zq
+        m, g = s, None
         while t != 1:
             i, u = 1, t * t % p                  # the least i with t^(2^i) = 1
             while u != 1:
@@ -145,6 +157,8 @@ def _square_root(p: int):
                 if i == m:
                     return None                  # t has order 2^s: a non-residue
                 u = u * u % p
+            if g is None:
+                g = nonresidue_power()
             b = pow(g, 1 << (m - i - 1), p)
             m, g = i, b * b % p
             r, t = r * b % p, t * g % p
@@ -165,8 +179,6 @@ def _by_tree(p: int, c0: int, x0: int, zero_index: int | None) -> bool | None:
     if p == 2:
         return None
     root = _square_root(p)
-    if root is None:
-        return None
     budget = _tree_budget(p)
     depth = 0 if x0 == 0 else None
     level, d = [0], 0
@@ -179,7 +191,10 @@ def _by_tree(p: int, c0: int, x0: int, zero_index: int | None) -> bool | None:
         for y in level:
             if y == c0:
                 return None          # f(0) reaches 0: 0 is periodic
-            r = root((y - c0) % p)
+            try:
+                r = root((y - c0) % p)
+            except _NoNonResidue:
+                return None
             if r is not None:
                 below += (r, p - r)
                 if r == x0 or r == p - x0:

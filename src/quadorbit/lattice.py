@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import rounding
 from .primes import primes_to
-from .bounds import initial_divisor_bound, stable_iterate_bound
+from .bounds import _CHECKER_L, _PROVER_L, initial_divisor_bound, stable_iterate_bound
 from .sieve import (NumeratorTarget, SieveCertificate, find_sieve_certificate,
                     verify_sieve_certificate)
 
@@ -36,18 +36,6 @@ class EscalationStuck(ArithmeticError):
 
 
 # --- certified constants ----------------------------------------------------
-
-def _log_silver(ctx):
-    """L = log(3 + 2 sqrt 2), twice the log of the silver ratio 1 + sqrt 2."""
-    return ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2)))
-
-
-# L = log(3 + 2 sqrt 2) depends on neither N nor the pass, so each side keeps
-# one enclosure of it: the producer's, and the checker's, which only the
-# checking paths read, so a checked trace shares no arithmetic with its maker.
-_PROVER_L = rounding.Constant(_log_silver)
-_CHECKER_L = rounding.Constant(_log_silver)
-
 
 def _theta(ctx, N: int):
     return ctx.exp(ctx.log(ctx.mpf(2)) / N)
@@ -494,17 +482,17 @@ def _start_bits(n: int, magnitude_bits: int) -> int:
     return max(n, magnitude_bits) + 64
 
 
-def _c_exclusion(n: int, B: int, L: rounding.Constant) -> int:
-    """floor(xi B^2): one enclosure of xi, from the given L table, scaled
-    exactly by B^2."""
+def _xi_enclosure(n: int, B: int, L: rounding.Constant) -> rounding.Enclosure:
+    """One enclosure of xi, from the given L table, that starts at the
+    precision floor(xi B^2) needs; it serves any bound up to B, each rounding
+    scaling it exactly by that bound squared."""
     N = (1 << (n - 1)) - 1
-    xi = rounding.Enclosure(lambda ctx: _xi(ctx, N, L), _start_bits(n, 2 * B.bit_length()))
-    return xi.floor(B * B)
+    return rounding.Enclosure(lambda ctx: _xi(ctx, N, L), _start_bits(n, 2 * B.bit_length()))
 
 
 def c_exclusion_bound(n: int, B: int) -> int:
     """Certified floor of xi B^2, xi = theta^2 (3 - 2 sqrt 2)^(1/N)."""
-    return _c_exclusion(n, B, _PROVER_L)
+    return _xi_enclosure(n, B, _PROVER_L).floor(B * B)
 
 
 def required_divisor_bound(n: int, x_bound: int) -> int:
@@ -534,7 +522,7 @@ def prove_divisor_bound(n: int, target_bound: int,
     holds it so that it is not enclosed again.
     """
     if initial is None:
-        initial = initial_divisor_bound(n)
+        initial = initial_divisor_bound(n, _PROVER_L)
     b0 = initial
     traces: list[EscalationTrace] = []
     while b0 <= target_bound:
@@ -552,35 +540,39 @@ def prove_divisor_bound(n: int, target_bound: int,
 def check_trace(trace: EscalationTrace) -> None:
     """Re-verify one trace from its stored integers alone.
 
-    Encloses each constant once at 2 * trace.bits, refining only when a
-    rounding is undecided, and scales the enclosures exactly to re-derive
-    theta^2 B0^8, the target, the lattice scale, d and the x^6 floor.  For
-    theta / N that is twice the producer's precision.  The producer encloses
-    delta^2 at 2 * bits too, so its independence rests on L = log(3 +
-    2 sqrt 2) from the checker's own table, which the producer never reads.
-    Half-up and ceiling values are precision-independent, so exact equality
-    with the stored integers is the test.  Recomputes sigma from the stored
-    points and re-derives the outgoing bound from the h-window.  Shares no
-    computed value with the producer.  Raises TraceError on any mismatch.
+    The checker picks its own precision from B0, bits = 8 bits(B0) + 64
+    (enough for the roundings of B0^8 multiples), and never reads
+    trace.bits, so a trace cannot set what its check costs.  It encloses
+    theta / N once at bits and delta^2 once at 2 * bits (d = delta^2 B0^16
+    carries twice the bits of B0^8), refining only when a rounding is
+    undecided, and scales the enclosures exactly to re-derive theta^2 B0^8,
+    the target, the lattice scale, d and the x^6 floor.  Every rounding is
+    the exact half-up, ceiling or floor of the real value, whatever
+    precision decides it, so exact equality with the stored integers is the
+    test.  Independence rests on L = log(3 + 2 sqrt 2) from the checker's own
+    table, which the producer never reads, and on the checker's own
+    roundings.  Recomputes sigma from the stored points and re-derives the
+    outgoing bound from the h-window.  Shares no computed value with the
+    producer.  Raises TraceError on any mismatch.
     """
     N = (1 << (trace.n - 1)) - 1
     if N != trace.N:
         raise TraceError("inconsistent N")
     b0 = trace.b0_in
     b0_4, b0_8 = b0 ** 4, b0 ** 8
-    bits2 = 2 * trace.bits
+    bits = 8 * b0.bit_length() + 64
     fin = trace.final
     (scale_a, t2), (z, neg) = fin.basis
     if z != 0 or neg != -b0_8 or scale_a != fin.scale_a:
         raise TraceError("basis shape mismatch")
     tgt = fin.target[1]
-    t2_need, tgt_need = _theta_roundings(N, b0_8, bits2)
+    t2_need, tgt_need = _theta_roundings(N, b0_8, bits)
     if t2 != t2_need:
         raise TraceError("theta^2 B0^8 rounding claim fails")
     if tgt != tgt_need:
         raise TraceError("target rounding claim fails")
     mult = 1 << fin.doublings
-    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _CHECKER_L), bits2)
+    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _CHECKER_L), 2 * bits)
     if scale_a != delta2.nearest(mult * b0_4):
         raise TraceError("gamma B0^4 rounding claim fails")
     if trace.d_const != delta2.ceil(b0_8 * b0_8):
@@ -601,8 +593,11 @@ def check_trace(trace: EscalationTrace) -> None:
         raise TraceError("outgoing bound is not the h-window edge")
 
 
-def check_divisor_certificate(cert: DivisorBoundCertificate) -> None:
-    if cert.initial_bound != initial_divisor_bound(cert.n):
+def check_divisor_certificate(cert: DivisorBoundCertificate) -> rounding.Enclosure:
+    """Check the chain of traces and the exclusion bound.  Returns the
+    checker's xi enclosure, sized for the final bound, so that a caller can
+    round xi B^2 for a smaller B without enclosing xi again."""
+    if cert.initial_bound != initial_divisor_bound(cert.n, _CHECKER_L):
         raise TraceError("initial bound mismatch")
     b0 = cert.initial_bound
     for tr in cert.traces:
@@ -612,8 +607,10 @@ def check_divisor_certificate(cert: DivisorBoundCertificate) -> None:
         b0 = tr.b0_out
     if b0 != cert.final_bound or b0 <= cert.target_bound:
         raise TraceError("final bound does not clear the target")
-    if _c_exclusion(cert.n, cert.final_bound, _CHECKER_L) < cert.c_exclusion:
+    xi = _xi_enclosure(cert.n, cert.final_bound, _CHECKER_L)
+    if xi.floor(cert.final_bound ** 2) < cert.c_exclusion:
         raise TraceError("c exclusion bound overstated")
+    return xi
 
 
 # --- the full driver --------------------------------------------------------
@@ -654,7 +651,7 @@ def _small_c_certificates() -> list[tuple[int, SieveCertificate]]:
 def stab_entry_for_prime(p: int, x_bound: int) -> StabEntry:
     """The per-prime unit of work: escalate unless the initial bound suffices."""
     required = required_divisor_bound(p, x_bound)
-    b0 = initial_divisor_bound(p)
+    b0 = initial_divisor_bound(p, _PROVER_L)
     if b0 >= required:
         return StabEntry(p, required, b0, None)
     return StabEntry(p, required, b0, prove_divisor_bound(p, required, b0))
@@ -704,13 +701,14 @@ def check_stab_certificate(cert: StabCertificate) -> None:
     if [e.prime for e in cert.entries] != primes:
         raise TraceError("prime coverage incomplete")
     for e in cert.entries:
-        if _c_exclusion(e.prime, e.required_bound, _CHECKER_L) < cert.x_bound:
-            raise TraceError(f"required bound too small at p={e.prime}")
+        # one xi enclosure per prime, sized for the larger of the required
+        # and the final bound, serves both exclusion roundings
         if e.certificate is None:
             if e.initial_bound < e.required_bound:
                 raise TraceError(f"missing escalation at p={e.prime}")
-            if initial_divisor_bound(e.prime) != e.initial_bound:
+            if initial_divisor_bound(e.prime, _CHECKER_L) != e.initial_bound:
                 raise TraceError(f"initial bound mismatch at p={e.prime}")
+            xi = _xi_enclosure(e.prime, e.required_bound, _CHECKER_L)
         else:
             # check_divisor_certificate recomputes the certificate's initial
             # bound, which the entry's must equal
@@ -718,7 +716,9 @@ def check_stab_certificate(cert: StabCertificate) -> None:
                     e.certificate.target_bound != e.required_bound or \
                     e.certificate.initial_bound != e.initial_bound:
                 raise TraceError(f"certificate mismatch at p={e.prime}")
-            check_divisor_certificate(e.certificate)
+            xi = check_divisor_certificate(e.certificate)
+        if xi.floor(e.required_bound ** 2) < cert.x_bound:
+            raise TraceError(f"required bound too small at p={e.prime}")
     if cert.gamma_doublings != sum(e.certificate.gamma_doublings for e in cert.entries
                                    if e.certificate is not None):
         raise TraceError("gamma doublings do not match the traces")

@@ -239,12 +239,28 @@ class Enclosure:
         self._lo, self._hi, self._shift = a << (ea - e), b << (eb - e), -e
 
     def _decide(self, round_shifted, scale: int, power: int) -> int:
+        """Round x^power * scale, first from the one product lo^power * scale.
+
+        hi^power - lo^power = (hi - lo) * (a sum of power terms, each at most
+        hi^(power-1)), so with 0 <= lo <= hi (or power 1), the scaled value at
+        hi lies within U = power (hi - lo) |scale| 2^((power-1) bits(hi)) of
+        that product.  When both ends of that range round alike, so do both
+        endpoints; otherwise the endpoint at hi is rounded exactly.  Either
+        way the result, and whether this precision decides, is what the two
+        endpoint roundings give.
+        """
         adjacent = 0
         while True:
             lo, hi = self._lo, self._hi
             if power == 1 or lo > 0:
-                a = round_shifted(lo ** power * scale, power * self._shift)
-                b = round_shifted(hi ** power * scale, power * self._shift)
+                shift = power * self._shift
+                low = lo ** power * scale
+                width = power * (hi - lo) * abs(scale) << ((power - 1) * hi.bit_length())
+                a = round_shifted(low - width, shift)
+                if a == round_shifted(low + width, shift):
+                    return a
+                a = round_shifted(low, shift)
+                b = round_shifted(hi ** power * scale, shift)
                 if a == b:
                     return a
                 if abs(b - a) == 1:

@@ -86,7 +86,7 @@ def test_shared_constant_formulas_enclose_the_old_ones():
     # from L overlap the direct formulas, at precisions the table grows through
     sharp = MPIntervalContext()
     sharp.prec = 4096
-    l_lo, l_hi = rounding.iv_endpoints(lattice._log_silver(sharp))
+    l_lo, l_hi = rounding.iv_endpoints(bounds._log_silver(sharp))
     for N in (15, 63, 8191):
         for bits in (64, 1000, 64):
             ctx = rounding.iv_context(bits)
@@ -136,6 +136,99 @@ def test_enclosure_floor_raises_rather_than_settling(monkeypatch):
         enc.floor()
 
 
+class _Logged(rounding.Enclosure):
+    """An Enclosure that logs the precision of every enclosure it builds."""
+
+    def __init__(self, build, bits):
+        self.log = []
+        super().__init__(build, bits)
+
+    def _enclose(self):
+        self.log.append(self._bits)
+        super()._enclose()
+
+
+class _TwoEndpoints(_Logged):
+    """The reference rounding: both endpoints raised to the power and scaled,
+    at every precision."""
+
+    def _decide(self, round_shifted, scale, power):
+        adjacent = 0
+        while True:
+            lo, hi = self._lo, self._hi
+            if power == 1 or lo > 0:
+                a = round_shifted(lo ** power * scale, power * self._shift)
+                b = round_shifted(hi ** power * scale, power * self._shift)
+                if a == b:
+                    return a
+                if abs(b - a) == 1:
+                    adjacent += 1
+                    if adjacent > rounding.MAX_DOUBLINGS:
+                        raise rounding.PrecisionExhausted("undecided")
+            self._bits *= 2
+            self._enclose()
+
+
+def _roundings_and_log(cls, build, bits, roundings):
+    """Each rounding's value (None where it raised) on one enclosure, and the
+    precisions it was enclosed at."""
+    enc = cls(build, bits)
+    out = []
+    for op, scale, power in roundings:
+        try:
+            out.append(getattr(enc, op)(scale, power))
+        except rounding.PrecisionExhausted:
+            out.append(None)
+    return out, enc.log
+
+
+@st.composite
+def _widened_reals(draw):
+    """(build, powers): x = +-a^(1/4) / b, irrational, plus an absolute
+    interval of 0 to 2^20 units of 2^(mag - prec) either way, so that an
+    enclosure may be a point, a few ulps wide, or many, and may straddle 0.
+    Squaring needs x > 0, so a negative x takes power 1 only."""
+    sign = draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(1, 1 << 100))
+    a = k * k + draw(st.integers(1, 2 * k))
+    b = draw(st.integers(1, 1 << 120))
+    w = draw(st.one_of(st.just(0), st.integers(1, 16), st.integers(1, 1 << 20)))
+    mag = draw(st.integers(-140, 60))
+
+    def build(ctx):
+        x = sign * ctx.sqrt(ctx.sqrt(ctx.mpf(a))) / b
+        return x + ctx.mpf([-w, w]) * ctx.mpf(2) ** (mag - ctx.prec) if w else x
+    return build, ((1,) if sign < 0 else (1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _widened_reals(), st.integers(8, 300))
+def test_one_product_decides_as_the_two_endpoints(data, real, bits):
+    # floor, nearest and ceil from one product and a width bound give the
+    # two-endpoint values, and refine through the same precisions
+    build, powers = real
+    scales = st.one_of(st.integers(-16, 16), st.integers(-(1 << 4000), 1 << 4000))
+    roundings = data.draw(st.lists(st.tuples(st.sampled_from(("floor", "nearest", "ceil")),
+                                             scales, st.sampled_from(powers)),
+                                   min_size=1, max_size=3))
+    assert _roundings_and_log(_Logged, build, bits, roundings) == \
+        _roundings_and_log(_TwoEndpoints, build, bits, roundings)
+
+
+@pytest.mark.parametrize("build, power", [
+    (lambda ctx: ctx.mpf(1) / 3 * 3, 1), (lambda ctx: ctx.sqrt(ctx.mpf(7)), 2)])
+def test_one_product_still_gives_up_on_an_integer(build, power):
+    # 1/3 * 3 and sqrt(7)^2 are integers: floor and ceiling stay undecided and
+    # raise after MAX_DOUBLINGS doublings, where the two endpoints raise; the
+    # nearest integer is decided at the start precision
+    want = [64 << i for i in range(rounding.MAX_DOUBLINGS + 1)]
+    for op, value, log in (("floor", None, want), ("ceil", None, want),
+                           ("nearest", 7 if power == 2 else 1, [64])):
+        got = _roundings_and_log(_Logged, build, 64, [(op, 1, power)])
+        assert got == _roundings_and_log(_TwoEndpoints, build, 64, [(op, 1, power)])
+        assert got == ([value], log)
+
+
 @pytest.mark.parametrize("rounding_of", ["floor", "ceil"])
 def test_enclosure_gives_up_on_an_integer_within_seconds(rounding_of):
     # sqrt(7)^2 is the integer 7 at the default MAX_BITS: no enclosure decides
@@ -170,7 +263,7 @@ def test_interval_exp_rounds_outward(bits, arg):
 # --- the one-series interval exp against a reference 800 bits sharper -----
 
 _PRECS = st.one_of(st.sampled_from((53, 8000)), st.integers(53, 8000))
-_TEST_L = rounding.Constant(lattice._log_silver)   # apart from either side's table
+_TEST_L = rounding.Constant(bounds._log_silver)   # apart from either side's table
 
 
 def _ulp(x, prec):
@@ -716,11 +809,13 @@ def test_check_trace_encloses_each_constant_once(monkeypatch):
     delta2 = _count_calls(monkeypatch, "_delta2")
     theta = _count_calls(monkeypatch, "_theta")
     check_trace(tr)
-    # theta / N once, at twice the producer's precision, and delta^2 once
-    # (from the checker's L, without theta), at the producer's own 2 * bits;
-    # no refinement is needed here
-    assert delta2 == [2 * tr.bits]
-    assert theta == [2 * tr.bits]
+    # the checker's own precision from B0, here the producer's default:
+    # theta / N once at it, and delta^2 once (from the checker's L, without
+    # theta) at twice it; no refinement is needed here
+    bits = 8 * tr.b0_in.bit_length() + 64
+    assert bits == tr.bits
+    assert delta2 == [2 * bits]
+    assert theta == [bits]
 
 
 def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
@@ -731,16 +826,44 @@ def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
     assert calls == [tr.bits, 2 * tr.bits]     # theta / N, then delta^2
     calls.clear()
     check_trace(tr)
-    assert calls == [2 * tr.bits, 2 * tr.bits]
+    assert calls == [tr.bits, 2 * tr.bits]
+
+
+def test_tampered_bits_leave_the_check_cost_unchanged(monkeypatch):
+    # trace.bits is the producer's claim; the checker sizes its enclosures
+    # from B0, so a huge bits field changes neither the series it sums nor
+    # their precisions, and cannot set what the check costs
+    tr = escalation_pass(5, 166)
+    calls = _count_series(monkeypatch)
+    check_trace(tr)
+    honest = list(calls)
+    calls.clear()
+    check_trace(replace(tr, bits=1 << 16))
+    assert calls == honest
+    assert max(honest) == 2 * (8 * (166).bit_length() + 64)
+
+
+def test_stab_check_exp_cost_at_1e100(stab_e100, monkeypatch):
+    # the exact number and largest precision of the checker's exp series
+    # over a 10^100 certificate: per escalated pass one theta / N and one
+    # delta^2, and per prime one initial bound and one xi, with no
+    # refinement.  A fresh checker table keeps the count apart from earlier
+    # tests.
+    _fresh_table(monkeypatch, "_CHECKER_L")
+    calls = _count_series(monkeypatch)
+    check_stab_certificate(stab_e100)
+    passes = sum(len(e.certificate.traces) for e in stab_e100.entries if e.certificate)
+    assert len(calls) == 2 * passes + 2 * len(stab_e100.entries) == 204
+    assert max(calls) == 2784
 
 
 def test_stab_entry_encloses_the_initial_bound_once(monkeypatch):
     calls = []
     initial = lattice.initial_divisor_bound
 
-    def counted(n):
+    def counted(n, *table):
         calls.append(n)
-        return initial(n)
+        return initial(n, *table)
     monkeypatch.setattr(lattice, "initial_divisor_bound", counted)
     for p, x_bound, escalated in ((5, 10 ** 60, True), (7, 100, False)):
         calls.clear()
@@ -749,7 +872,7 @@ def test_stab_entry_encloses_the_initial_bound_once(monkeypatch):
         assert calls == [p]
 
 
-def _fresh_table(monkeypatch, name, build=lattice._log_silver):
+def _fresh_table(monkeypatch, name, build=bounds._log_silver):
     """Replace one side's L table by a new one whose evaluations are logged."""
     evals = []
 
@@ -787,7 +910,7 @@ def test_constants_cost_grows_with_table_doublings_not_passes(monkeypatch):
 
 def _shifted_l(ctx):
     # L moved up by a relative 2^-20: an enclosure that misses the true value
-    return lattice._log_silver(ctx) * (1 + ctx.mpf(2) ** -20)
+    return bounds._log_silver(ctx) * (1 + ctx.mpf(2) ** -20)
 
 
 def test_checker_does_not_read_the_producers_table(monkeypatch):
