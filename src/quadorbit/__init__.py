@@ -7,7 +7,7 @@ from .factors import FactorPoly, Obstruction, build_pattern, eval_at_orbit, obst
 from .sieve import (CongruenceTable, ModOrbit, SieveCertificate, jacobi,
                     find_sieve_certificate, match_fixed_rules, orbit_mod,
                     regenerate_congruence_table)
-from .bounds import FactorSplit, initial_divisor_bound, stable_iterate_bound
+from .bounds import initial_divisor_bound, stable_iterate_bound
 from .lattice import (DivisorBoundCertificate, EscalationTrace, StabCertificate,
                       check_stab_certificate, check_trace, closest_points,
                       escalation_pass, prove_divisor_bound,

@@ -9,13 +9,12 @@ rounding, and integer outputs are exact floors of the real values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rounding
 from .factors import quartic_form_parameter
-from .orbit import DEFAULT_BIT_BUDGET, critical_numerators, is_perfect_square
-from .primes import coprime_splits, factorize
+from .orbit import is_perfect_square
+from .primes import factorize
 
 
 def _log_silver(ctx):
@@ -107,41 +106,6 @@ def square_split_inequality(c: int, bits: int = 128) -> bool:
         else:
             num *= p ** e
     return _split_threshold_holds(Fraction(num, den), c, bits)
-
-
-@dataclass(frozen=True)
-class FactorSplit:
-    c: int
-    n: int
-    u: int
-    v: int
-
-
-def find_coprime_power_split(c: int, n: int,
-                             bit_budget: int = DEFAULT_BIT_BUDGET) -> FactorSplit | None:
-    """Exhaustive search for the coprime split a square a_n would force.
-
-    Even c: coprime c = u*v with u even and 4 v^N - u^N = 4 a_{n-1}(c), both
-    sign patterns.  Odd c: v^N - u^N = 2 a_{n-1}(c) with positive u, v.
-    N = 2^(n-1) - 1.
-    """
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    N = (1 << (n - 1)) - 1
-    a_prev = critical_numerators(c, n - 1, bit_budget)[-1]
-    for u0, v0 in coprime_splits(c):
-        for u, v in ((u0, v0), (v0, u0)):
-            if c % 2 == 0:
-                if u % 2 != 0:
-                    continue
-                for sign in (1, -1):
-                    uu, vv = sign * u, sign * v
-                    if 4 * vv ** N - uu ** N == 4 * a_prev:
-                        return FactorSplit(c, n, uu, vv)
-            else:
-                if v ** N - u ** N == 2 * a_prev:
-                    return FactorSplit(c, n, u, v)
-    return None
 
 
 def initial_divisor_bound(n: int, L: rounding.Constant | None = None) -> int:

@@ -318,30 +318,15 @@ MAX_PASSES = 200      # escalation passes per divisor bound
 
 
 @dataclass(frozen=True)
-class LatticeAttempt:
-    doublings: int
-    scale_a: int                       # rounded gamma * B0^4 (first basis entry)
-    basis: tuple[tuple[int, int], tuple[int, int]]
-    target: tuple[int, int]
-    points: tuple[tuple[int, int], ...]   # coefficient pairs (v_j, u_j)
-    sigma: int
-    h_negative_at_b0: bool
-
-
-@dataclass(frozen=True)
 class EscalationTrace:
+    """One pass from b0_in to b0_out: the gamma doublings of the attempt that
+    made h(b0_in) negative, and its four closest points as coefficient pairs
+    (v_j, u_j).  The checker rederives everything else."""
     n: int
-    N: int
     b0_in: int
-    bits: int
-    d_const: int                       # ceil(delta^2 B0^16)
-    x6_coeff: int                      # certified >= (gamma B0^4)^2
-    attempts: tuple[LatticeAttempt, ...]
+    doublings: int
+    points: tuple[tuple[int, int], ...]
     b0_out: int
-
-    @property
-    def final(self) -> LatticeAttempt:
-        return self.attempts[-1]
 
 
 def _theta_roundings(N: int, b0_8: int, bits: int) -> tuple[int, int]:
@@ -349,6 +334,17 @@ def _theta_roundings(N: int, b0_8: int, bits: int) -> tuple[int, int]:
     of theta / N, scaled exactly by N^2 B0^8 (squared) and by 2 B0^8."""
     theta_n = rounding.Enclosure(lambda ctx: _theta(ctx, N) / N, bits)
     return theta_n.nearest(N * N * b0_8, power=2), theta_n.nearest(2 * b0_8)
+
+
+def _gamma_scale(delta2: rounding.Enclosure, doublings: int, b0_4: int,
+                 b0_8: int) -> tuple[int, int]:
+    """(scale_a, x6) at gamma = 2^doublings delta^2: the lattice scale
+    round(gamma B0^4), and an x^6 coefficient that dominates (gamma B0^4)^2,
+    as soundness needs: the larger of the rounded square and a certified
+    ceiling of the square."""
+    mult = 1 << doublings
+    scale_a = delta2.nearest(mult * b0_4)
+    return scale_a, max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
 
 
 def _adjusted_sigma(points, scale_a: int, t2: int, b0_8: int, tgt: int) -> int:
@@ -366,33 +362,37 @@ def _adjusted_sigma(points, scale_a: int, t2: int, b0_8: int, tgt: int) -> int:
     return best if best is not None else 0
 
 
-def _h_poly(x6: int, sigma: int, d_const: int):
+def _h_cubic(x6: int, sigma: int, d: int, t: int) -> int:
+    """x6 t^3 - sigma t^2 + d by Horner: h(x) at t = x^2."""
+    return (x6 * t - sigma) * t * t + d
+
+
+def _h_poly(x6: int, sigma: int, d: int):
     def h(x: int) -> int:
-        x2 = x * x
-        return (x6 * x2 * x2 * x2) - sigma * x2 * x2 + d_const
+        return _h_cubic(x6, sigma, d, x * x)
     return h
 
 
-def _largest_nonpositive(x6: int, sigma: int, d_const: int, b0: int) -> int:
+def _largest_nonpositive(x6: int, sigma: int, d: int, b0: int) -> int:
     """max { x integer > 0 : h(x) <= 0 }, assuming h(b0) < 0.
 
     h is cubic in t = x^2 with positive leading and constant coefficients;
     integer Newton from above isolates the largest root of the cubic, then
     the answer is the integer square root, verified exactly.
     """
-    h = _h_poly(x6, sigma, d_const)
+    h = _h_poly(x6, sigma, d)
     t = sigma // x6 + 1
     while True:
-        g = x6 * t * t * t - sigma * t * t + d_const
+        g = _h_cubic(x6, sigma, d, t)
         if g <= 0:
             break
-        dg = 3 * x6 * t * t - 2 * sigma * t
+        dg = (3 * x6 * t - 2 * sigma) * t
         if dg <= 0:
             t -= 1
             continue
         step = -(-g // dg)
         t -= max(step, 1)
-    while x6 * (t + 1) ** 3 - sigma * (t + 1) ** 2 + d_const <= 0:
+    while _h_cubic(x6, sigma, d, t + 1) <= 0:
         t += 1
     x = math.isqrt(t)
     while h(x + 1) <= 0:
@@ -433,30 +433,19 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     # working precision, the precision d would otherwise refine to.
     delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _PROVER_L), 2 * bits)
     d_const = delta2.ceil(b0_8 * b0_8)
-    attempts: list[LatticeAttempt] = []
     reducer = IDENTITY
     for doublings in range(MAX_DOUBLINGS + 1):
-        mult = 1 << doublings
-        scale_a = delta2.nearest(mult * b0_4)
+        scale_a, x6 = _gamma_scale(delta2, doublings, b0_4, b0_8)
         if scale_a <= 0:
             raise rounding.PrecisionExhausted("degenerate lattice scale")
-        # x^6 coefficient must dominate (gamma B0^4)^2 for soundness; take the
-        # larger of the rounded square and a certified ceiling of the square.
-        x6 = max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
-        basis = ((scale_a, t2), (0, -b0_8))
-        pts, reducer = closest_points(basis, (0, tgt), 4, reducer)
+        pts, reducer = closest_points(((scale_a, t2), (0, -b0_8)), (0, tgt), 4, reducer)
         coeffs = tuple(p.coeffs for p in pts)
         sigma = _adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
-        h = _h_poly(x6, sigma, d_const)
-        ok = h(b0) < 0
-        attempts.append(LatticeAttempt(doublings, scale_a, basis, (0, tgt),
-                                       coeffs, sigma, ok))
-        if ok:
+        if _h_poly(x6, sigma, d_const)(b0) < 0:
             b0_out = _largest_nonpositive(x6, sigma, d_const, b0) + 1
             if b0_out <= b0:
                 raise EscalationStuck(f"no progress from bound {b0}")
-            return EscalationTrace(n, N, b0, bits, d_const, x6,
-                                   tuple(attempts), b0_out)
+            return EscalationTrace(n, b0, doublings, coeffs, b0_out)
     raise EscalationStuck(f"gamma doubled {MAX_DOUBLINGS} times without h({b0}) < 0")
 
 
@@ -472,7 +461,7 @@ class DivisorBoundCertificate:
 
     @property
     def gamma_doublings(self) -> int:
-        return sum(t.final.doublings for t in self.traces)
+        return sum(t.doublings for t in self.traces)
 
 
 def _start_bits(n: int, magnitude_bits: int) -> int:
@@ -537,54 +526,51 @@ def prove_divisor_bound(n: int, target_bound: int,
 
 # --- independent trace checking ---------------------------------------------
 
+def _is_pair(p) -> bool:
+    return isinstance(p, tuple) and len(p) == 2 and all(isinstance(x, int) for x in p)
+
+
 def check_trace(trace: EscalationTrace) -> None:
     """Re-verify one trace from its stored integers alone.
 
-    The checker picks its own precision from B0, bits = 8 bits(B0) + 64
-    (enough for the roundings of B0^8 multiples), and never reads
-    trace.bits, so a trace cannot set what its check costs.  It encloses
-    theta / N once at bits and delta^2 once at 2 * bits (d = delta^2 B0^16
-    carries twice the bits of B0^8), refining only when a rounding is
-    undecided, and scales the enclosures exactly to re-derive theta^2 B0^8,
-    the target, the lattice scale, d and the x^6 floor.  Every rounding is
-    the exact half-up, ceiling or floor of the real value, whatever
-    precision decides it, so exact equality with the stored integers is the
-    test.  Independence rests on L = log(3 + 2 sqrt 2) from the checker's own
+    A trace holds n, B0 = b0_in, the gamma doublings of its successful
+    attempt, that attempt's four points as coefficient pairs (v_j, u_j), and
+    b0_out.  Everything else is recomputed here, nothing compared with a
+    stored copy: theta^2 B0^8 and the target from an enclosure of theta / N,
+    and the lattice scale, d and the x^6 coefficient from one of delta^2 at
+    gamma = 2^doublings delta^2; sigma from the points; then h(B0) < 0 and
+    b0_out as the edge of the h-window are tested.
+
+    The doublings must lie in [0, MAX_DOUBLINGS] and the points must be 4
+    distinct integer pairs, both tested before any enclosure is built.  The
+    checker picks its own precision from B0, bits = 8 bits(B0) + 64 (enough
+    for the roundings of B0^8 multiples), so a trace cannot set what its
+    check costs.  It encloses theta / N once at bits and delta^2 once at
+    2 * bits (d = delta^2 B0^16 carries twice the bits of B0^8), refining only
+    when a rounding is undecided.  Every rounding is the exact half-up,
+    ceiling or floor of the real value, whatever precision decides it.
+    Independence rests on L = log(3 + 2 sqrt 2) from the checker's own
     table, which the producer never reads, and on the checker's own
-    roundings.  Recomputes sigma from the stored points and re-derives the
-    outgoing bound from the h-window.  Shares no computed value with the
-    producer.  Raises TraceError on any mismatch.
+    roundings.  Not yet checked: that the points are the four nearest to the
+    target, so a trace that stores other lattice points can overstate
+    b0_out.  Raises TraceError on any failure.
     """
+    doublings, pts = trace.doublings, trace.points
+    if not (isinstance(doublings, int) and 0 <= doublings <= MAX_DOUBLINGS):
+        raise TraceError("gamma doublings out of range")
+    if not (isinstance(pts, tuple) and len(pts) == 4 and all(map(_is_pair, pts))
+            and len(set(pts)) == 4):
+        raise TraceError("points are not 4 distinct integer pairs")
     N = (1 << (trace.n - 1)) - 1
-    if N != trace.N:
-        raise TraceError("inconsistent N")
     b0 = trace.b0_in
     b0_4, b0_8 = b0 ** 4, b0 ** 8
     bits = 8 * b0.bit_length() + 64
-    fin = trace.final
-    (scale_a, t2), (z, neg) = fin.basis
-    if z != 0 or neg != -b0_8 or scale_a != fin.scale_a:
-        raise TraceError("basis shape mismatch")
-    tgt = fin.target[1]
-    t2_need, tgt_need = _theta_roundings(N, b0_8, bits)
-    if t2 != t2_need:
-        raise TraceError("theta^2 B0^8 rounding claim fails")
-    if tgt != tgt_need:
-        raise TraceError("target rounding claim fails")
-    mult = 1 << fin.doublings
+    t2, tgt = _theta_roundings(N, b0_8, bits)
     delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _CHECKER_L), 2 * bits)
-    if scale_a != delta2.nearest(mult * b0_4):
-        raise TraceError("gamma B0^4 rounding claim fails")
-    if trace.d_const != delta2.ceil(b0_8 * b0_8):
-        raise TraceError("d constant is not the ceiling of delta^2 B0^16")
-    x6_need = max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
-    if trace.x6_coeff < x6_need:
-        raise TraceError("x^6 coefficient below (gamma B0^4)^2")
-    sigma = _adjusted_sigma(fin.points, scale_a, t2, b0_8, tgt)
-    if sigma != fin.sigma:
-        raise TraceError("sigma does not match its points")
-    h = _h_poly(trace.x6_coeff, sigma, trace.d_const)
-    if not fin.h_negative_at_b0 or h(b0) >= 0:
+    scale_a, x6 = _gamma_scale(delta2, doublings, b0_4, b0_8)
+    sigma = _adjusted_sigma(pts, scale_a, t2, b0_8, tgt)
+    h = _h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
+    if h(b0) >= 0:
         raise TraceError("h(B0) is not negative")
     out = trace.b0_out
     if out <= b0:

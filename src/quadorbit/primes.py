@@ -127,20 +127,3 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(f)
         stack.append(m // f)
     return fac
-
-
-def coprime_splits(c: int, fac: dict[int, int] | None = None) -> list[tuple[int, int]]:
-    """All ordered pairs (u, v) of coprime positive integers with u*v = |c|.
-
-    Each prime power of c goes wholly to one side.
-    """
-    fac = fac if fac is not None else factorize(c)
-    pps = [p ** e for p, e in fac.items()]
-    splits = []
-    for mask in range(1 << len(pps)):
-        u = 1
-        for i, q in enumerate(pps):
-            if mask >> i & 1:
-                u *= q
-        splits.append((u, abs(c) // u))
-    return sorted(set(splits))

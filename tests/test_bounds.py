@@ -5,11 +5,11 @@ import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
 from quadorbit import rounding
-from quadorbit.bounds import (_F, _eps_limit, find_coprime_power_split,
-                              initial_divisor_bound, square_split_inequality,
-                              stable_iterate_bound, valuation_split_inequality)
+from quadorbit.bounds import (_F, _eps_limit, initial_divisor_bound,
+                              square_split_inequality, stable_iterate_bound,
+                              valuation_split_inequality)
 from quadorbit.orbit import critical_numerators
-from quadorbit.primes import coprime_splits
+from reference import coprime_splits, find_coprime_power_split
 
 
 def _contains(bounds, value, tol=1e-12):

@@ -129,7 +129,8 @@ def test_stab_verify_cli(tmp_path, capsys):
     traced = [e for e in stored["entries"] if "trace" in e]
     assert traced, "emit-trace must include full traces"
     tr = traced[0]["trace"][0]
-    assert {"n", "b0_in", "b0_out", "attempts"} <= set(tr)
+    assert set(tr) == {"n", "b0_in", "doublings", "points", "b0_out"}
+    assert len(tr["points"]) == 4
 
 
 def test_json_outputs_validate_against_schemas(capsys):
@@ -166,7 +167,7 @@ def test_golden_output_digests(capsys):
     assert digest(["table1", "--regen"]) == \
         "0e8b938e045d9cb1c34a29d6878c72f4be84f849fcd9eb0eae797f5178ca46fe"
     assert digest(["stab-verify", "--x", "1e60", "--emit-trace", "--json"], True) == \
-        "d77bfca63cedc0c7b3fe6bcc6432a2431c4ba15eb3dc3871699c49120721b32c"
+        "9b0fc6b345807139ba19c91722e496f9b6f9e2c5cb2e9e2bfa52d44635c0f9ea"
 
 
 def test_density_and_table_regeneration_digests(capsys):
@@ -200,7 +201,7 @@ def test_stab_verify_worker_pool_prints_the_same_bytes(capsys):
     pooled = printed("2")
     assert pooled == printed("1")
     assert hashlib.sha256(pooled.encode()).hexdigest() == \
-        "6b5d39836fc6a8d9b1dcd7e942493e273b1bdc1533a4890a58ad862008b1165b"
+        "e140dd5bdb8c2e91fb8f9ae226c4e4e36eeeedbe2217187cbec7bc92512543a9"
 
 
 def test_stab_verify_1e300_trace_digest(capsys):
@@ -210,22 +211,24 @@ def test_stab_verify_1e300_trace_digest(capsys):
     payload = json.loads(capsys.readouterr().out)
     del payload["elapsed_seconds"]
     assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
-        "5f75e999502e6563ee646b6542a35678a93893532cf309255cdbfd448835c40d"
+        "acb9901c3d95aa5e1070ed44ed4456e2cf2d0b56e5dbadf5a9cb8dbe4a0c232d"
 
 
 def test_trace_json_past_the_int_digit_limit(capsys):
-    # trace integers at 1e100 pass 640 digits, as those at 1e1000 pass the
-    # default 4300: writing them must not depend on the interpreter's limit
+    # certificate integers at 1e300 pass 640 digits, the least limit Python
+    # allows, as those at 1e1000 pass the default 4300: writing them must not
+    # depend on the interpreter's limit
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit before Python 3.11")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert main(["stab-verify", "--x", "1e100", "--emit-trace", "--json"]) == 0
+        assert main(["stab-verify", "--x", "1e300", "--emit-trace", "--json"]) == 0
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(old)
     payload = json.loads(capsys.readouterr().out)
     del payload["elapsed_seconds"]
+    assert max(len(e["c_bound"]) for e in payload["entries"] if "c_bound" in e) > 640
     assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
-        "6b5d39836fc6a8d9b1dcd7e942493e273b1bdc1533a4890a58ad862008b1165b"
+        "acb9901c3d95aa5e1070ed44ed4456e2cf2d0b56e5dbadf5a9cb8dbe4a0c232d"

@@ -20,6 +20,7 @@ from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                required_divisor_bound, stab_entry_for_prime,
                                verify_no_squares_up_to)
 from quadorbit.sieve import NumeratorTarget, verify_sieve_certificate
+from reference import lattice_attempt
 
 
 # --- references: per-doubling roundings from a fresh builder each time, and
@@ -619,15 +620,15 @@ def test_singular_basis_rejected():
 # doubling certifies the window, and the bound jumps 8 -> 166.
 def test_escalation_first_pass_frozen():
     tr = escalation_pass(5, 8)
-    first, last = tr.attempts[0], tr.final
+    first, last = lattice_attempt(5, 8, 0), lattice_attempt(5, 8, 1)
     assert first.basis == ((336, 18401670), (0, -16777216))
     assert first.target == (0, 2342757)
     assert first.points == ((177, 194), (208, 228), (146, 160), (239, 262))
     assert first.sigma == 4239130474
     assert not first.h_negative_at_b0
-    assert last.doublings == 1 and last.scale_a == 672
+    assert last.scale_a == 672 and last.h_negative_at_b0
     assert last.sigma == 12323594474
-    assert tr.b0_out == 166
+    assert tr == EscalationTrace(5, 8, 1, last.points, 166)
     check_trace(tr)
 
 
@@ -645,20 +646,62 @@ def test_escalation_chain_reaches_target():
 
 
 def test_trace_checker_rejects_tampering():
-    tr = escalation_pass(5, 8)
+    # each stored field moved by one: the doublings, both bounds, and a
+    # coefficient of the first point, the nearest, which sets sigma here (a
+    # point that does not set sigma can move unseen until the checker tests
+    # that the points are the nearest)
+    tr = escalation_pass(5, 166)
+    assert tr.doublings == 1
+    check_trace(tr)
+    (v, u), *rest = tr.points
+    moved = [((v + 1, u),) + tuple(rest), ((v, u - 1),) + tuple(rest)]
+    for bad in ([replace(tr, doublings=tr.doublings + k) for k in (-1, 1)]
+                + [replace(tr, points=pts) for pts in moved]
+                + [replace(tr, b0_in=tr.b0_in + k) for k in (-1, 1)]
+                + [replace(tr, b0_out=tr.b0_out + k) for k in (-1, 1)]):
+        with pytest.raises(TraceError):
+            check_trace(bad)
+
+
+def _count_enclosures(monkeypatch):
+    built = []
+    enclosure = rounding.Enclosure
+
+    def counted(*args):
+        built.append(args)
+        return enclosure(*args)
+    monkeypatch.setattr(rounding, "Enclosure", counted)
+    return built
+
+
+@pytest.mark.parametrize("doublings", [-1, lattice.MAX_DOUBLINGS + 1, 1 << 16, 1.0, None])
+def test_out_of_range_doublings_are_rejected_before_any_enclosure(monkeypatch, doublings):
+    tr = escalation_pass(5, 166)
+    built = _count_enclosures(monkeypatch)
+    check_trace(tr)
+    assert len(built) == 2      # theta / N and delta^2
+    built.clear()
     with pytest.raises(TraceError):
-        check_trace(replace(tr, b0_out=tr.b0_out + 1))
-    with pytest.raises(TraceError):
-        check_trace(replace(tr, d_const=tr.d_const - 1))
-    bad_final = replace(tr.final, sigma=tr.final.sigma * 2)
-    with pytest.raises(TraceError):
-        check_trace(replace(tr, attempts=tr.attempts[:-1] + (bad_final,)))
+        check_trace(replace(tr, doublings=doublings))
+    assert built == []
+
+
+def test_points_that_are_not_four_distinct_pairs_are_rejected(monkeypatch):
+    tr = escalation_pass(5, 166)
+    p = tr.points
+    built = _count_enclosures(monkeypatch)
+    for bad in (p[:3], p + ((1, 1),), p[:3] + (p[0],), p[:3] + ((1, 2, 3),),
+                p[:3] + ([1, 2],), p[:3] + ((1, 2.0),), list(p), ()):
+        with pytest.raises(TraceError):
+            check_trace(replace(tr, points=bad))
+    assert built == []
 
 
 def _reference_pass(n, b0, bits=None):
     """escalation_pass as built before the shared enclosures: every constant
     rounded from its own builder, with its own log(3 + 2 sqrt 2), at every
-    doubling, with the greedy reduction and the rational enumeration."""
+    doubling, with the greedy reduction and the rational enumeration.
+    Returns the trace of the first attempt with h(B0) < 0."""
     N = (1 << (n - 1)) - 1
     bits = bits or (8 * b0.bit_length() + 64)
     b0_4 = b0 ** 4
@@ -666,7 +709,6 @@ def _reference_pass(n, b0, bits=None):
     t2 = _nearest_int(lambda ctx: _theta2_ref(ctx, N) * b0_8, bits)
     tgt = _nearest_int(lambda ctx: 2 * lattice._theta(ctx, N) * b0_8 / N, bits)
     d_const = _ceil_int(lambda ctx: _delta2_ref(ctx, N) * b0_8 * b0_8, bits)
-    attempts = []
     for doublings in range(lattice.MAX_DOUBLINGS + 1):
         mult = 1 << doublings
         scale_a = _nearest_int(lambda ctx: _delta2_ref(ctx, N) * mult * b0_4, bits)
@@ -675,18 +717,15 @@ def _reference_pass(n, b0, bits=None):
         basis = ((scale_a, t2), (0, -b0_8))
         coeffs = tuple(c for _, c, _ in _fraction_closest(basis, (0, tgt), 4))
         sigma = lattice._adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
-        ok = lattice._h_poly(x6, sigma, d_const)(b0) < 0
-        attempts.append(lattice.LatticeAttempt(doublings, scale_a, basis, (0, tgt),
-                                               coeffs, sigma, ok))
-        if ok:
+        if lattice._h_poly(x6, sigma, d_const)(b0) < 0:
             out = lattice._largest_nonpositive(x6, sigma, d_const, b0) + 1
-            return EscalationTrace(n, N, b0, bits, d_const, x6, tuple(attempts), out)
+            return EscalationTrace(n, b0, doublings, coeffs, out)
     raise AssertionError("reference pass did not certify")
 
 
 @pytest.mark.parametrize("n", [5, 7, 11, 13])
 def test_escalation_chain_matches_per_doubling_reference(n):
-    # every field of every trace and attempt, three passes deep
+    # every field of every trace, three passes deep
     b0 = bounds.initial_divisor_bound(n)
     for _ in range(3):
         tr = escalation_pass(n, b0)
@@ -718,15 +757,28 @@ def test_pass_where_d_needs_a_precision_doubling(monkeypatch):
     check_trace(tr)
 
 
+def _count_cvp(monkeypatch):
+    """Log the arguments of every closest_points call: one per attempt."""
+    calls = []
+    cvp = lattice.closest_points
+
+    def counted(*args):
+        calls.append(args)
+        return cvp(*args)
+    monkeypatch.setattr(lattice, "closest_points", counted)
+    return calls
+
+
 def test_delta2_evaluations_do_not_grow_with_attempts(monkeypatch):
     b0 = bounds.initial_divisor_bound(13)
     b0 = escalation_pass(13, b0).b0_out     # this pass takes 8 attempts
     calls = _count_calls(monkeypatch, "_delta2")
-    tr = escalation_pass(13, b0)
-    assert len(tr.attempts) >= 3
+    attempts = _count_cvp(monkeypatch)
+    escalation_pass(13, b0)
+    assert len(attempts) >= 3
     # one enclosure at twice the working precision; a refinement would add a
     # call at twice that precision, never one per attempt
-    assert calls == [2 * tr.bits]
+    assert calls == [2 * (8 * b0.bit_length() + 64)]
 
 
 def _bits(*vectors):
@@ -747,26 +799,21 @@ def _apply(rows, basis):
 def test_warm_started_attempts_reduce_from_the_last_reduced_basis(monkeypatch):
     b0 = bounds.initial_divisor_bound(13)
     b0 = escalation_pass(13, b0).b0_out     # this pass takes 8 attempts
-    cvp_calls, reductions = [], []
-    cvp, reduce_ = lattice.closest_points, lattice.lagrange_reduce
-
-    def counted_cvp(*args):
-        cvp_calls.append(args)
-        return cvp(*args)
+    reductions = []
+    reduce_ = lattice.lagrange_reduce
 
     def logged_reduce(b1, b2, *rows):
         out = reduce_(b1, b2, *rows)
         reductions.append(((b1, b2), _bits(b1, b2), _bits(out[0], out[1])))
         return out
-    monkeypatch.setattr(lattice, "closest_points", counted_cvp)
+    cvp_calls = _count_cvp(monkeypatch)
     monkeypatch.setattr(lattice, "lagrange_reduce", logged_reduce)
     tr = escalation_pass(13, b0)
-    assert len(tr.attempts) == 8
     # one enumeration and one reduction per attempt
-    assert len(cvp_calls) == len(reductions) == len(tr.attempts)
+    assert len(cvp_calls) == len(reductions) == 8 == tr.doublings + 1
     # the first attempt is cold: its reduction starts from the Lehmer map,
     # a few greedy steps from reduced, where the cold basis takes tens
-    cold = tr.attempts[0].basis
+    cold = cvp_calls[0][0]
     assert cvp_calls[0][3] == lattice.IDENTITY
     assert reductions[0][0] == _apply(lattice._lehmer_start(*cold), cold)
     assert _greedy_steps(*reductions[0][0]) <= 3 < 20 <= _greedy_steps(*cold)
@@ -809,38 +856,29 @@ def test_check_trace_encloses_each_constant_once(monkeypatch):
     delta2 = _count_calls(monkeypatch, "_delta2")
     theta = _count_calls(monkeypatch, "_theta")
     check_trace(tr)
-    # the checker's own precision from B0, here the producer's default:
-    # theta / N once at it, and delta^2 once (from the checker's L, without
-    # theta) at twice it; no refinement is needed here
+    # the checker's own precision from B0, the producer's default: theta / N
+    # once at it, and delta^2 once (from the checker's L, without theta) at
+    # twice it; no refinement is needed here
     bits = 8 * tr.b0_in.bit_length() + 64
-    assert bits == tr.bits
     assert delta2 == [2 * bits]
     assert theta == [bits]
+    delta2.clear()
+    theta.clear()
+    assert escalation_pass(7, tr.b0_in) == tr
+    assert (theta, delta2) == ([bits], [2 * bits])
 
 
 def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
     b0 = escalation_pass(13, bounds.initial_divisor_bound(13)).b0_out
     calls = _count_series(monkeypatch)
+    attempts = _count_cvp(monkeypatch)
     tr = escalation_pass(13, b0)     # 8 attempts, all from the same two enclosures
-    assert len(tr.attempts) == 8
-    assert calls == [tr.bits, 2 * tr.bits]     # theta / N, then delta^2
+    assert len(attempts) == 8
+    bits = 8 * b0.bit_length() + 64
+    assert calls == [bits, 2 * bits]     # theta / N, then delta^2
     calls.clear()
     check_trace(tr)
-    assert calls == [tr.bits, 2 * tr.bits]
-
-
-def test_tampered_bits_leave_the_check_cost_unchanged(monkeypatch):
-    # trace.bits is the producer's claim; the checker sizes its enclosures
-    # from B0, so a huge bits field changes neither the series it sums nor
-    # their precisions, and cannot set what the check costs
-    tr = escalation_pass(5, 166)
-    calls = _count_series(monkeypatch)
-    check_trace(tr)
-    honest = list(calls)
-    calls.clear()
-    check_trace(replace(tr, bits=1 << 16))
-    assert calls == honest
-    assert max(honest) == 2 * (8 * (166).bit_length() + 64)
+    assert calls == [bits, 2 * bits]
 
 
 def test_stab_check_exp_cost_at_1e100(stab_e100, monkeypatch):
@@ -913,15 +951,30 @@ def _shifted_l(ctx):
     return bounds._log_silver(ctx) * (1 + ctx.mpf(2) ** -20)
 
 
+def _third_pass_bound(n=7):
+    """The incoming bound of the third pass at n.  A trace stores only the
+    doublings, the points and b0_out.  In the first two passes at n = 7 the
+    shift above moves none of them, so a trace made under either table is
+    the same valid proof; in the third, b0_out is near 10^15 and the shift
+    moves it."""
+    b0 = bounds.initial_divisor_bound(n)
+    for _ in range(2):
+        b0 = escalation_pass(n, b0).b0_out
+    return b0
+
+
 def test_checker_does_not_read_the_producers_table(monkeypatch):
+    b0 = _third_pass_bound()
+    honest = escalation_pass(7, b0)
     _fresh_table(monkeypatch, "_PROVER_L", _shifted_l)
-    tr = escalation_pass(7, bounds.initial_divisor_bound(7))
+    tr = escalation_pass(7, b0)
+    assert tr.b0_out != honest.b0_out
     with pytest.raises(TraceError):
         check_trace(tr)
 
 
 def test_checker_rejects_an_honest_trace_under_its_own_wrong_table(monkeypatch):
-    tr = escalation_pass(7, bounds.initial_divisor_bound(7))
+    tr = escalation_pass(7, _third_pass_bound())
     check_trace(tr)
     _fresh_table(monkeypatch, "_CHECKER_L", _shifted_l)
     with pytest.raises(TraceError):
@@ -930,9 +983,8 @@ def test_checker_rejects_an_honest_trace_under_its_own_wrong_table(monkeypatch):
 
 def test_rerun_at_double_precision_is_identical():
     tr1 = escalation_pass(5, 8)
-    tr2 = escalation_pass(5, 8, bits=2 * tr1.bits)
-    assert tr2.b0_out == tr1.b0_out
-    assert tr2.final.sigma == tr1.final.sigma
+    tr2 = escalation_pass(5, 8, bits=2 * (8 * (8).bit_length() + 64))
+    assert tr2 == tr1
 
 
 def test_trivial_certificate_when_initial_bound_suffices():
