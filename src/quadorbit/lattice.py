@@ -315,6 +315,14 @@ def closest_points(basis: tuple[tuple[int, int], tuple[int, int]],
 
 MAX_DOUBLINGS = 64    # gamma doublings per pass
 MAX_PASSES = 200      # escalation passes per divisor bound
+# The last pass of a chain starts from isqrt(target) << SHORT_MARGIN, not
+# from the bound the pass before proved.  A pass roughly squares its input,
+# so a few bits over the square root clear the target.  Counted over
+# verify_no_squares_up_to at the perfbench stab_e300 inputs of seeds 1, 2, 3
+# and 7 (X from 2.4e300 to 8.4e300, 75 shortened last passes each) and at
+# X = 4e1000 (207): a margin of 0 missed 1-2 per run, margins of 2 and 4
+# none.  A miss costs one dropped pass.
+SHORT_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -451,7 +459,13 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
 
 @dataclass(frozen=True)
 class DivisorBoundCertificate:
-    """Chained escalation traces proving |v| >= final_bound for prime index n."""
+    """Chained escalation traces proving |v| >= final_bound for prime index n.
+
+    Each trace starts at or below the bound proved before it (initial_bound
+    for the first) and ends above it.  The last one mostly starts a few bits
+    past the square root of target_bound, so final_bound lands a few bits
+    past the target rather than near its square.
+    """
     n: int
     target_bound: int
     initial_bound: int
@@ -508,16 +522,29 @@ def prove_divisor_bound(n: int, target_bound: int,
     """Escalate from the initial bound until it exceeds the target.
 
     initial is initial_divisor_bound(n), passed by a caller that already
-    holds it so that it is not enclosed again.
+    holds it so that it is not enclosed again.  Each pass starts from the
+    bound b0 proved so far, except the one that will clear the target: once
+    short = isqrt(target_bound) << SHORT_MARGIN is below b0, the pass starts
+    from short.  Any start at or below b0 is a valid premise, since |v| >= b0
+    is already proved.  A pass's cost grows with the square of its start's
+    bits, so the shortened pass costs down to a quarter of one from b0,
+    which lies anywhere between the target's square root and the target.
+    A shortened pass that does not clear the target is dropped, and that
+    pass and any after it run from b0.
     """
     if initial is None:
         initial = initial_divisor_bound(n, _PROVER_L)
     b0 = initial
+    short = math.isqrt(target_bound) << SHORT_MARGIN
     traces: list[EscalationTrace] = []
     while b0 <= target_bound:
         if len(traces) >= MAX_PASSES:
             raise EscalationStuck(f"{MAX_PASSES} passes without reaching the target")
-        tr = escalation_pass(n, b0)
+        tr = None
+        if short < b0:     # tried once: after a miss, every pass starts from b0
+            tr, short = escalation_pass(n, short), 0
+        if tr is None or tr.b0_out <= target_bound:
+            tr = escalation_pass(n, b0)
         traces.append(tr)
         b0 = tr.b0_out
     return DivisorBoundCertificate(n, target_bound, initial, tuple(traces), b0,
@@ -526,8 +553,12 @@ def prove_divisor_bound(n: int, target_bound: int,
 
 # --- independent trace checking ---------------------------------------------
 
+def _ints(*xs) -> bool:
+    return all(isinstance(x, int) for x in xs)
+
+
 def _is_pair(p) -> bool:
-    return isinstance(p, tuple) and len(p) == 2 and all(isinstance(x, int) for x in p)
+    return isinstance(p, tuple) and len(p) == 2 and _ints(*p)
 
 
 def check_trace(trace: EscalationTrace) -> None:
@@ -541,13 +572,18 @@ def check_trace(trace: EscalationTrace) -> None:
     gamma = 2^doublings delta^2; sigma from the points; then h(B0) < 0 and
     b0_out as the edge of the h-window are tested.
 
-    The doublings must lie in [0, MAX_DOUBLINGS] and the points must be 4
-    distinct integer pairs, both tested before any enclosure is built.  The
-    checker picks its own precision from B0, bits = 8 bits(B0) + 64 (enough
-    for the roundings of B0^8 multiples), so a trace cannot set what its
-    check costs.  It encloses theta / N once at bits and delta^2 once at
-    2 * bits (d = delta^2 B0^16 carries twice the bits of B0^8), refining only
-    when a rounding is undecided.  Every rounding is the exact half-up,
+    The checker picks its own precision from B0, bits = 8 bits(B0) + 64
+    (enough for the roundings of B0^8 multiples), so a trace cannot set what
+    its check costs.  Before any enclosure is built, n and both bounds must
+    be integers with B0 > 0 and 5 <= n <= bits (N >= 15, and N no wider than
+    the precision, which every honest trace meets with room: a chain only
+    runs when the target exceeds the initial bound, about 2^(n-1) / ln 4,
+    and starts each pass at that bound or past the target's square root, so
+    B0 has at least about (n - 1) / 2 bits), the doublings must lie in
+    [0, MAX_DOUBLINGS], and the points must be 4 distinct integer pairs.
+    It encloses theta / N once at bits and delta^2 once at 2 * bits
+    (d = delta^2 B0^16 carries twice the bits of B0^8), refining only when a
+    rounding is undecided.  Every rounding is the exact half-up,
     ceiling or floor of the real value, whatever precision decides it.
     Independence rests on L = log(3 + 2 sqrt 2) from the checker's own
     table, which the producer never reads, and on the checker's own
@@ -555,16 +591,20 @@ def check_trace(trace: EscalationTrace) -> None:
     target, so a trace that stores other lattice points can overstate
     b0_out.  Raises TraceError on any failure.
     """
+    n, b0, out = trace.n, trace.b0_in, trace.b0_out
+    if not (_ints(n, b0, out) and b0 > 0):
+        raise TraceError("n and the bounds are not integers with b0_in > 0")
+    bits = 8 * b0.bit_length() + 64
+    if not 5 <= n <= bits:
+        raise TraceError("prime index out of range")
     doublings, pts = trace.doublings, trace.points
     if not (isinstance(doublings, int) and 0 <= doublings <= MAX_DOUBLINGS):
         raise TraceError("gamma doublings out of range")
     if not (isinstance(pts, tuple) and len(pts) == 4 and all(map(_is_pair, pts))
             and len(set(pts)) == 4):
         raise TraceError("points are not 4 distinct integer pairs")
-    N = (1 << (trace.n - 1)) - 1
-    b0 = trace.b0_in
+    N = (1 << (n - 1)) - 1
     b0_4, b0_8 = b0 ** 4, b0 ** 8
-    bits = 8 * b0.bit_length() + 64
     t2, tgt = _theta_roundings(N, b0_8, bits)
     delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _CHECKER_L), 2 * bits)
     scale_a, x6 = _gamma_scale(delta2, doublings, b0_4, b0_8)
@@ -572,7 +612,6 @@ def check_trace(trace: EscalationTrace) -> None:
     h = _h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
     if h(b0) >= 0:
         raise TraceError("h(B0) is not negative")
-    out = trace.b0_out
     if out <= b0:
         raise TraceError("no progress")
     if h(out - 1) > 0 or h(out) <= 0:
@@ -582,12 +621,21 @@ def check_trace(trace: EscalationTrace) -> None:
 def check_divisor_certificate(cert: DivisorBoundCertificate) -> rounding.Enclosure:
     """Check the chain of traces and the exclusion bound.  Returns the
     checker's xi enclosure, sized for the final bound, so that a caller can
-    round xi B^2 for a smaller B without enclosing xi again."""
+    round xi B^2 for a smaller B without enclosing xi again.
+
+    The chain rule is 0 < b0_in <= b0 < b0_out, b0 the bound proved so far
+    (the initial bound, then each trace's b0_out).  It is sound: a checked
+    trace shows that every solution with |v| >= b0_in has |v| >= b0_out, and
+    |v| >= b0 >= b0_in is already proved, so |v| >= b0_out, a larger bound.
+    A trace may thus start below the proved bound, as the last one of an
+    honest chain does.
+    """
     if cert.initial_bound != initial_divisor_bound(cert.n, _CHECKER_L):
         raise TraceError("initial bound mismatch")
     b0 = cert.initial_bound
     for tr in cert.traces:
-        if tr.n != cert.n or tr.b0_in != b0:
+        if tr.n != cert.n or not (_ints(tr.b0_in, tr.b0_out)
+                                  and 0 < tr.b0_in <= b0 < tr.b0_out):
             raise TraceError("broken trace chain")
         check_trace(tr)
         b0 = tr.b0_out

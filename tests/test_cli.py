@@ -167,7 +167,7 @@ def test_golden_output_digests(capsys):
     assert digest(["table1", "--regen"]) == \
         "0e8b938e045d9cb1c34a29d6878c72f4be84f849fcd9eb0eae797f5178ca46fe"
     assert digest(["stab-verify", "--x", "1e60", "--emit-trace", "--json"], True) == \
-        "9b0fc6b345807139ba19c91722e496f9b6f9e2c5cb2e9e2bfa52d44635c0f9ea"
+        "d73b2302ee23531a657d96e8494c4c03c3b089b04dc01001f67d89418f56e66f"
 
 
 def test_density_and_table_regeneration_digests(capsys):
@@ -201,7 +201,7 @@ def test_stab_verify_worker_pool_prints_the_same_bytes(capsys):
     pooled = printed("2")
     assert pooled == printed("1")
     assert hashlib.sha256(pooled.encode()).hexdigest() == \
-        "e140dd5bdb8c2e91fb8f9ae226c4e4e36eeeedbe2217187cbec7bc92512543a9"
+        "6d09c2dd51bf43850b12487b0f32cd91e04da0722078306ea1408fba522bff83"
 
 
 def test_stab_verify_1e300_trace_digest(capsys):
@@ -211,11 +211,11 @@ def test_stab_verify_1e300_trace_digest(capsys):
     payload = json.loads(capsys.readouterr().out)
     del payload["elapsed_seconds"]
     assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
-        "acb9901c3d95aa5e1070ed44ed4456e2cf2d0b56e5dbadf5a9cb8dbe4a0c232d"
+        "d562fe02b25afa22c8fbc7f23080da2308cb3f3a2ff945264238308bef7474fd"
 
 
 def test_trace_json_past_the_int_digit_limit(capsys):
-    # certificate integers at 1e300 pass 640 digits, the least limit Python
+    # certificate integers at 1e350 pass 640 digits, the least limit Python
     # allows, as those at 1e1000 pass the default 4300: writing them must not
     # depend on the interpreter's limit
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -223,7 +223,7 @@ def test_trace_json_past_the_int_digit_limit(capsys):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert main(["stab-verify", "--x", "1e300", "--emit-trace", "--json"]) == 0
+        assert main(["stab-verify", "--x", "1e350", "--emit-trace", "--json"]) == 0
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(old)
@@ -231,4 +231,4 @@ def test_trace_json_past_the_int_digit_limit(capsys):
     del payload["elapsed_seconds"]
     assert max(len(e["c_bound"]) for e in payload["entries"] if "c_bound" in e) > 640
     assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
-        "acb9901c3d95aa5e1070ed44ed4456e2cf2d0b56e5dbadf5a9cb8dbe4a0c232d"
+        "4159be2ea7cca33057c7201c14ed4321eda647dd2c774c22a4c6d2f0177b1b5f"

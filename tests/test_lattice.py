@@ -638,11 +638,11 @@ def test_escalation_chain_reaches_target():
     assert cert.final_bound > 10 ** 30
     assert len(cert.traces) == 5
     check_divisor_certificate(cert)
-    # bounds chain and growth: each pass lands beyond the square of the
-    # incoming bound scaled by the approximation quality
-    b = [cert.initial_bound] + [t.b0_out for t in cert.traces]
-    for prev, nxt in zip(b, b[1:]):
-        assert nxt > prev ** 2 // 100
+    # growth: each pass lands beyond the square of its own incoming bound
+    # scaled by the approximation quality (the last pass starts below the
+    # bound proved before it, so the growth is per trace, not per link)
+    for t in cert.traces:
+        assert t.b0_out > t.b0_in ** 2 // 100
 
 
 def test_trace_checker_rejects_tampering():
@@ -686,6 +686,24 @@ def test_out_of_range_doublings_are_rejected_before_any_enclosure(monkeypatch, d
     assert built == []
 
 
+def _bits_for(b0):
+    return 8 * b0.bit_length() + 64
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 1), ("n", 4), ("n", 5.0), ("n", None), ("n", _bits_for(166) + 1),
+    ("b0_in", 0), ("b0_in", -166), ("b0_in", 166.0), ("b0_out", 65534.0)])
+def test_out_of_range_index_and_bounds_are_rejected_before_any_enclosure(
+        monkeypatch, field, value):
+    # n = 1 made N = 0 (PrecisionExhausted, a CLI exit 3 rather than a
+    # rejected trace), n = 5.0 raised TypeError, and n sets the size of N
+    tr = escalation_pass(5, 166)
+    built = _count_enclosures(monkeypatch)
+    with pytest.raises(TraceError):
+        check_trace(replace(tr, **{field: value}))
+    assert built == []
+
+
 def test_points_that_are_not_four_distinct_pairs_are_rejected(monkeypatch):
     tr = escalation_pass(5, 166)
     p = tr.points
@@ -695,6 +713,54 @@ def test_points_that_are_not_four_distinct_pairs_are_rejected(monkeypatch):
         with pytest.raises(TraceError):
             check_trace(replace(tr, points=bad))
     assert built == []
+
+
+def _chain(n, target):
+    """The honest certificate and the bounds it proves, link by link."""
+    cert = prove_divisor_bound(n, target)
+    check_divisor_certificate(cert)
+    return cert, [cert.initial_bound] + [t.b0_out for t in cert.traces]
+
+
+def _rechained(cert, traces):
+    return replace(cert, traces=tuple(traces), final_bound=traces[-1].b0_out,
+                   c_exclusion=c_exclusion_bound(cert.n, traces[-1].b0_out))
+
+
+def test_a_last_pass_that_starts_below_the_proved_bound_is_accepted():
+    cert, proved = _chain(5, 10 ** 30)
+    last = cert.traces[-1]
+    assert last.b0_in == math.isqrt(10 ** 30) << lattice.SHORT_MARGIN < proved[-2]
+    assert cert.final_bound == last.b0_out > 10 ** 30
+
+
+def test_a_first_pass_that_starts_below_the_initial_bound_is_accepted():
+    # at n = 11 the initial bound 734 is above isqrt(1000) << 4 = 496
+    cert, _ = _chain(11, 1000)
+    assert [t.b0_in for t in cert.traces] == [496] and cert.initial_bound == 734
+
+
+def test_a_trace_that_starts_above_the_proved_bound_is_rejected():
+    # a valid pass from one past the proved bound, the rest of the
+    # certificate made consistent with it: only the chain is broken
+    cert, proved = _chain(5, 10 ** 30)
+    tr = escalation_pass(5, proved[-2] + 1)
+    check_trace(tr)
+    assert tr.b0_out > 10 ** 30
+    with pytest.raises(TraceError, match="broken trace chain"):
+        check_divisor_certificate(_rechained(cert, cert.traces[:-1] + (tr,)))
+
+
+def test_a_trace_that_proves_no_larger_bound_is_rejected():
+    # the first trace repeated: it starts at or below the proved bound and is
+    # valid on its own, but ends at the bound already proved
+    cert, _ = _chain(5, 10 ** 30)
+    with pytest.raises(TraceError, match="broken trace chain"):
+        check_divisor_certificate(_rechained(cert, cert.traces[:1] + cert.traces))
+    # and one that ends below it
+    low = escalation_pass(5, 8)
+    with pytest.raises(TraceError, match="broken trace chain"):
+        check_divisor_certificate(_rechained(cert, cert.traces[:2] + (low,) + cert.traces[2:]))
 
 
 def _reference_pass(n, b0, bits=None):
@@ -892,7 +958,7 @@ def test_stab_check_exp_cost_at_1e100(stab_e100, monkeypatch):
     check_stab_certificate(stab_e100)
     passes = sum(len(e.certificate.traces) for e in stab_e100.entries if e.certificate)
     assert len(calls) == 2 * passes + 2 * len(stab_e100.entries) == 204
-    assert max(calls) == 2784
+    assert max(calls) == 1536
 
 
 def test_stab_entry_encloses_the_initial_bound_once(monkeypatch):
@@ -1048,6 +1114,35 @@ def test_stab_verification_small():
 @pytest.fixture(scope="module")
 def stab_e100():
     return verify_no_squares_up_to(10 ** 100)
+
+
+# passes per escalated prime at X = 10^100 when every pass started from the
+# bound proved before it; starting the last one lower must not add any
+PASSES_AT_1E100 = [6, 5, 4, 4, 3, 3, 3] + [2] * 7 + [1] * 23
+
+
+def test_only_the_last_pass_moves_at_1e100(stab_e100):
+    certs = [e.certificate for e in stab_e100.entries]
+    assert [len(c.traces) for c in certs] == PASSES_AT_1E100
+    for e, c in zip(stab_e100.entries, certs):
+        proved = [c.initial_bound] + [t.b0_out for t in c.traces]
+        last = c.traces[-1].b0_in
+        assert last <= math.isqrt(e.required_bound) << lattice.SHORT_MARGIN or last == proved[-2]
+        assert all(t.b0_in == b for t, b in zip(c.traces[:-1], proved))
+
+
+def test_every_honest_trace_meets_the_prime_index_cap(stab_e100):
+    # check_trace rejects n > 8 bits(b0_in) + 64; honest traces at 10^100
+    # and 10^300 meet it, and at 10^1000 so does the least b0_in any chain
+    # can start a pass from (criterion 3 checks every 10^1000 trace too)
+    for cert in (stab_e100, verify_no_squares_up_to(10 ** 300)):
+        traces = [t for e in cert.entries if e.certificate for t in e.certificate.traces]
+        assert traces and all(t.n <= _bits_for(t.b0_in) for t in traces)
+    for p in primes_to(1662):
+        if p >= 5:
+            least = min(bounds.initial_divisor_bound(p),
+                        math.isqrt(required_divisor_bound(p, 10 ** 1000)) << lattice.SHORT_MARGIN)
+            assert p <= _bits_for(least)
 
 
 def test_stab_checker_rejects_a_moved_initial_bound_on_an_escalated_entry(stab_e100):
