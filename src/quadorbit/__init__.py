@@ -5,7 +5,7 @@ from .orbit import (BitBudgetExceeded, CriticalNumerator, HalfSumStatus, SquareC
                     is_perfect_square, isqrt_if_square, orbit_point, padic_valuation)
 from .factors import FactorPoly, Obstruction, build_pattern, eval_at_orbit, obstruction
 from .sieve import (CongruenceTable, ModOrbit, SieveCertificate, jacobi,
-                    find_sieve_certificate, match_fixed_rules, orbit_mod,
+                    find_sieve_certificate, orbit_mod,
                     regenerate_congruence_table)
 from .bounds import initial_divisor_bound, stable_iterate_bound
 from .lattice import (DivisorBoundCertificate, EscalationTrace, StabCertificate,

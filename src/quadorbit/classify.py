@@ -12,7 +12,6 @@ answer the chain records, field for field, without re-running any search.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -26,11 +25,11 @@ from .factors import (FactorPoly, SPECIAL_S, build_pattern,
                       quartic_form_parameter)
 from .orbit import (BitBudgetExceeded, critical_numerators, is_perfect_square,
                     is_rational_square, isqrt_if_square)
-from .primes import FactorizationBudget, primes_to
+from .primes import FactorizationBudget, factorize, primes_to
 from .sieve import (FactorTarget, SieveCertificate, TermCheck, TermUnresolved,
                     certificate_at_prime, check_term_nonsquare,
                     find_sieve_certificate, jacobi, load_static_congruence_table,
-                    match_congruence_rows, match_fixed_rules, verify_m_rule,
+                    match_congruence_rows, match_m_rules, verify_m_rule,
                     verify_row_coverage, verify_sieve_certificate)
 
 
@@ -338,30 +337,36 @@ def _g2_sign_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
 
 def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
               effort: Effort | None, chain: Chain = None) -> TrackReport:
-    """The x + 1/m factor: fixed congruence rules first, sieve search as fallback."""
+    """The x + 1/m factor: fixed congruence rules first, sieve search as fallback.
+
+    m-neg-one-prime takes any d > 1 dividing m+1, prime or not.  With
+    m = -1 (mod d), the numerator g2(f^n(0)) m^(2^n) is -1 (mod d) at even
+    n >= 2 and -2 at odd n.  A residue coprime to d whose Jacobi symbol is
+    -1 is not a square; (-1/d) = -1 for d = 3 (mod 4), and (-2/d) = -1 for
+    d = 7 (mod 8).  So d = 7 (mod 8) rules out every index, and d = 3
+    (mod 8) the even ones, the odd ones resting on m-1 non-square through w2.
+    """
     m, g2 = verdict.m, factors[name]
     head = [_negative_obstruction_cert(c, g2)]
     w3_cert = _exact_nonsquare_cert("g2", 2, obstruction(g2, c, 2).value)  # (m^3-m^2+1)/m^4
     m1_cert = _exact_nonsquare_cert("m-1", 0, Fraction(m - 1))
 
     def search() -> Cert | None:
-        # the first rule the check accepts; the list rules come first, so
-        # m+1 is factored only when none verifies
-        primes: list[Cert] = []
-        for rule in match_fixed_rules(m=m):
-            if rule.family == "m-neg-one-prime":
-                primes.append({"kind": rule.family, "p": rule.modulus, "mod8": rule.modulus % 8})
-                continue
-            # published rows sometimes verify only with the conditional
-            # exemptions; try the unconditional reading first, then widen.
-            # w3 is a square only for m = 4, which has its own case.
-            for needs in [True] if rule.requires_nonsquare == "m-1" else [False, True]:
-                cert = {"kind": "m-congruence", "modulus": rule.modulus,
-                        "residue": rule.residue, "needs_m_minus_1": needs}
-                if rederive(cert):
+        # the first candidate the check accepts; the list rules come first,
+        # so m+1 is factored only when none verifies.  Published rows
+        # sometimes verify only with the conditional exemptions: try the
+        # unconditional reading first, then widen.  w3 is a square only for
+        # m = 4, which has its own case.
+        for rule in match_m_rules(m):
+            for needs in [True] if rule.needs_m_minus_1_nonsquare else [False, True]:
+                cert = rederive({"kind": "m-congruence", "modulus": rule.modulus,
+                                 "residue": rule.residue, "needs_m_minus_1": needs})
+                if cert:
                     return cert
-        # a prime 7 (mod 8) needs no hypothesis on m-1, so it goes first
-        return min(filter(rederive, primes), key=lambda k: (k["mod8"] == 3, k["p"]), default=None)
+        # a divisor 7 (mod 8) needs no hypothesis on m-1, so it goes first
+        ps = sorted(factorize(m + 1), key=lambda p: (p % 8 == 3, p))
+        certs = (rederive({"kind": "m-neg-one-prime", "p": p}) for p in ps)
+        return next(filter(None, certs), None)
 
     def rederive(cert: Cert) -> Cert | None:
         if cert["kind"] == "m-congruence":
@@ -371,9 +376,11 @@ def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
                 return {"kind": "m-congruence", "modulus": k, "residue": r,
                         "needs_m_minus_1": needs}
             return None
+        # p > 1 rejects p = -1, which divides m+1 and is 7 (mod 8); a float
+        # p would test divisibility of float(m+1), rounded past 2^53
         p = cert["p"]
-        if (m + 1) % p == 0 and (p % 8 == 7 or p % 8 == 3 and m1_cert is not None) \
-                and _is_prime_small(p):
+        if type(p) is int and p > 1 and (m + 1) % p == 0 \
+                and (p % 8 == 7 or p % 8 == 3 and m1_cert is not None):
             return {"kind": "m-neg-one-prime", "p": p, "mod8": p % 8}
         return None
 
@@ -401,16 +408,25 @@ def _static_table():
 
 
 def _neg_one_prime_cert(c: int) -> Cert | None:
+    """The least prime of c+1 that _rederive_neg_one_prime accepts."""
     try:
-        ps = [rule.modulus for rule in match_fixed_rules(c=c)]
+        ps = sorted(factorize(c + 1))
     except FactorizationBudget:
         return None
-    return {"kind": "neg-one-prime", "p": min(ps)} if ps else None
+    certs = (_rederive_neg_one_prime(c, {"kind": "neg-one-prime", "p": p}) for p in ps)
+    return next(filter(None, certs), None)
 
 
 def _rederive_neg_one_prime(c: int, cert: Cert) -> Cert | None:
-    p = cert["p"]   # divisibility first: it bounds the trial division by c + 1
-    if (c + 1) % p == 0 and p % 4 == 3 and _is_prime_small(p):
+    """neg-one-prime takes any d > 1 dividing c+1 with d = 3 (mod 4), prime
+    or not.  With c = -1 (mod d), a_n is 0 (mod d) at even n and -1 at odd
+    n >= 3.  (-1/d) = -1, and a residue coprime to d whose Jacobi symbol is
+    -1 is not a square, so every odd index is ruled out; the even ones rest
+    on c+1 non-square through a2."""
+    # p > 1 rejects p = -1, which divides c+1 and is 3 (mod 4); a float p
+    # would test divisibility of float(c+1), rounded past 2^53
+    p = cert["p"]
+    if type(p) is int and p > 1 and p % 4 == 3 and (c + 1) % p == 0:
         return {"kind": "neg-one-prime", "p": p}
     return None
 
@@ -544,12 +560,6 @@ _TRACKS: dict[CaseId, tuple[tuple[str, Callable[..., TrackReport]], ...]] = {
         ("v1", _sieve_after_discriminant), ("v2", _sieve_after_discriminant)),
     CaseId.STABLE: (("f", _stable_track),),
 }
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def verify_classification(c: int, effort: Effort | None = None) -> VerificationReport:

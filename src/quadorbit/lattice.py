@@ -665,7 +665,11 @@ class StabCertificate:
     prime_cap: int
     entries: tuple[StabEntry, ...]
     small_c: tuple[tuple[int, SieveCertificate], ...]
-    gamma_doublings: int
+
+    @property
+    def gamma_doublings(self) -> int:
+        return sum(e.certificate.gamma_doublings for e in self.entries
+                   if e.certificate is not None)
 
 
 SMALL_C_PRIME_CAP = 50
@@ -721,10 +725,7 @@ def verify_no_squares_up_to(x_bound: int, progress=None,
             entries.append(stab_entry_for_prime(p, x_bound))
             if progress:
                 progress(p, cap)
-    doublings = sum(e.certificate.gamma_doublings
-                    for e in entries if e.certificate is not None)
-    return StabCertificate(x_bound, cap, tuple(entries),
-                           tuple(_small_c_certificates()), doublings)
+    return StabCertificate(x_bound, cap, tuple(entries), tuple(_small_c_certificates()))
 
 
 def check_stab_certificate(cert: StabCertificate) -> None:
@@ -753,9 +754,8 @@ def check_stab_certificate(cert: StabCertificate) -> None:
             xi = check_divisor_certificate(e.certificate)
         if xi.floor(e.required_bound ** 2) < cert.x_bound:
             raise TraceError(f"required bound too small at p={e.prime}")
-    if cert.gamma_doublings != sum(e.certificate.gamma_doublings for e in cert.entries
-                                   if e.certificate is not None):
-        raise TraceError("gamma doublings do not match the traces")
+    if [c for c, _ in cert.small_c] != [1, 2, 3, 4]:
+        raise TraceError("small-c coverage is not c = 1, 2, 3, 4")
     for c, sc in cert.small_c:
         verify_sieve_certificate(sc, c, NumeratorTarget())
         if sc.start > 3:

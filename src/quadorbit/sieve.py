@@ -4,22 +4,20 @@ Reduces the numerator sequence a_n, or a factor value sequence g(f^n(0)),
 modulo small primes, detects the eventual cycle, and extracts certificates
 of the form "from index n0 on, every value is a quadratic non-residue mod
 p", which prove all but finitely many terms non-square in Q.  Also houses
-the congruence table machinery and the fixed congruence rule families.
+the congruence table machinery and the published m-list rules of the g2 track.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from typing import NamedTuple
 
 from .factors import FactorPoly
 from .orbit import (DEFAULT_BIT_BUDGET, BitBudgetExceeded, critical_numerators,
                     is_rational_square, isqrt_if_square, orbit_point)
-from .primes import factorize, primes_to
+from .primes import primes_to
 
 
 def jacobi(a: int, n: int) -> int:
@@ -509,34 +507,3 @@ def verify_m_rule(k: int, residue: int, needs_m_minus_1: bool) -> bool:
         return needs_m_minus_1 and (i + 1) % 2 == 0
     ns = seq.map(_nonresidues(k).__getitem__).prefix(W + 1)
     return all(ns[i] for i in range(2, W + 1) if not exempt(i))
-
-
-class FixedRuleMatch(NamedTuple):
-    # not a frozen dataclass, which is slower to build: one per prime of c+1 of every even c
-    family: str          # "c-neg-one-prime" | "m-neg-one-prime" | "m-list"
-    modulus: int
-    residue: int
-    requires_nonsquare: str | None   # "c+1" | "m-1" | None
-
-
-def match_fixed_rules(c: int | None = None, m: int | None = None) -> Iterator[FixedRuleMatch]:
-    """All fixed congruence rules applying to this c (numerator track) or m
-    (g2 track), with the extra non-square hypotheses each relies on.
-
-    The prime families use that -1 (and for the 7 mod 8 family also -2) is a
-    non-residue at the matched prime.  Rules come lazily, m-list first, so a
-    caller that stops at the first rule it verifies factors m + 1 only if it must.
-    """
-    if c is not None and c > 0:
-        for p in factorize(c + 1):
-            if p % 4 == 3:
-                yield FixedRuleMatch("c-neg-one-prime", p, p - 1, "c+1")
-    if m is not None and m > 1:
-        for rule in match_m_rules(m):
-            yield FixedRuleMatch("m-list", rule.modulus, rule.residue,
-                                 "m-1" if rule.needs_m_minus_1_nonsquare else None)
-        for p in factorize(m + 1):
-            if p % 8 == 7:
-                yield FixedRuleMatch("m-neg-one-prime", p, p - 1, None)
-            elif p % 8 == 3:
-                yield FixedRuleMatch("m-neg-one-prime", p, p - 1, "m-1")

@@ -1,15 +1,18 @@
 import json
 import math
+import time
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from quadorbit import sieve
+from quadorbit import classify
 from quadorbit.classify import (PINNED_SIEVE_PRIMES, CaseId, Effort, detect_case,
                                 factor_count_profile, recheck_report, report_to_json,
                                 verify_classification, verify_range)
-from quadorbit.factors import f_coeffs, poly_compose
-from quadorbit.orbit import is_perfect_square
+from quadorbit.factors import build_pattern, eval_at_orbit, f_coeffs, poly_compose
+from quadorbit.orbit import critical_numerators, is_perfect_square
+from quadorbit.sieve import jacobi
 
 
 def test_detect_case_spot_values():
@@ -256,7 +259,7 @@ def test_g2_list_rule_leaves_m_plus_1_unfactored(monkeypatch):
     def no_factorize(n):
         raise AssertionError(f"factorize({n}) called")
 
-    monkeypatch.setattr(sieve, "factorize", no_factorize)
+    monkeypatch.setattr(classify, "factorize", no_factorize)
     rep = verify_classification(-25)
     assert rep.verified
     assert _cert(rep, "m-congruence")["modulus"] == 7
@@ -442,3 +445,152 @@ def test_recheck_rejects_a_certificate_with_an_extra_key(c, kind):
     _cert(rep, kind)["junk"] = 1
     with pytest.raises(AssertionError):
         recheck_report(rep)
+
+
+# --- prime-witness rules checked by their Jacobi class ------------------------
+
+def _with_chain(rep, factor, chain):
+    _track(rep, factor).certificates = chain
+    return rep
+
+
+def _stable_chain(c, witness):
+    return [{"kind": "case-detection", "case": 7}, witness,
+            {"kind": "exact-nonsquare", "target": "a_n", "index": 2, "value": f"{c + 1}/1"},
+            {"kind": "rigid-divisibility", "through": "a2"}]
+
+
+def _g2_chain(rep, witness, m1=None):
+    head = _track(rep, "g2").certificates[0]
+    assert head["kind"] == "negative-obstruction"
+    premise = [] if m1 is None else [
+        {"kind": "exact-nonsquare", "target": "m-1", "index": 0, "value": f"{m1}/1"},
+        {"kind": "rigid-divisibility", "through": "w2"}]
+    return [head, witness] + premise
+
+
+def test_neg_one_prime_witness_c_plus_1_near_1e16_rechecks_fast():
+    # c + 1 = 10^16 + 79 is prime and 3 (mod 4): the witness is c + 1 itself,
+    # which a primality recheck would trial-divide up to 10^8
+    c = 10 ** 16 + 78
+    rep = verify_classification(c)
+    assert rep.verified
+    assert _cert(rep, "neg-one-prime") == {"kind": "neg-one-prime", "p": c + 1}
+    t0 = time.perf_counter()
+    recheck_report(rep)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_m_neg_one_prime_witness_m_plus_1_near_1e16_is_fast():
+    # m + 1 = 10^16 + 991 is prime and 7 (mod 8), and no list rule applies
+    m = 10 ** 16 + 990
+    t0 = time.perf_counter()
+    rep = verify_classification(-m * m)
+    recheck_report(rep)
+    assert time.perf_counter() - t0 < 0.5
+    assert rep.verified
+    assert _cert(rep, "m-neg-one-prime") == {"kind": "m-neg-one-prime", "p": m + 1, "mod8": 7}
+
+
+def test_neg_one_prime_is_the_least_qualifying_prime_of_c_plus_1():
+    # both primes are past trial division, so rho finds them in its own order
+    c = 1000003 * 1000039 - 1
+    assert _cert(verify_classification(c), "neg-one-prime")["p"] == 1000003
+
+
+def test_neg_one_prime_accepts_a_composite_witness():
+    rep = verify_classification(14)
+    assert _cert(rep, "neg-one-prime")["p"] == 3
+    recheck_report(_with_chain(rep, "f", _stable_chain(14, {"kind": "neg-one-prime", "p": 15})))
+
+
+@pytest.mark.parametrize("p", [-1, -5, -15, 0, 1, 5])
+def test_neg_one_prime_rejects_witnesses_outside_its_class(p):
+    # -1 and -5 divide 15 and are 3 (mod 4): only p > 1 rejects them
+    rep = _with_chain(verify_classification(14), "f",
+                      _stable_chain(14, {"kind": "neg-one-prime", "p": p}))
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_neg_one_prime_rejects_a_float_witness_past_float_precision():
+    # c + 1 = 3 * 2^60 + 1 = 1 (mod 3), but float(c + 1) % 3.0 == 0
+    c = 3 * 2 ** 60
+    assert (c + 1) % 3 == 1 and (c + 1) % 3.0 == 0
+    rep = _with_chain(verify_classification(c), "f",
+                      _stable_chain(c, {"kind": "neg-one-prime", "p": 3.0}))
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_m_neg_one_prime_accepts_a_composite_witness():
+    rep = verify_classification(-14 ** 2)
+    assert _cert(rep, "m-congruence")["modulus"] == 23
+    witness = {"kind": "m-neg-one-prime", "p": 15, "mod8": 7}
+    recheck_report(_with_chain(rep, "g2", _g2_chain(rep, witness)))
+
+
+@pytest.mark.parametrize("p", [-1, -9, 1, 5])
+def test_m_neg_one_prime_rejects_witnesses_outside_its_class(p):
+    rep = verify_classification(-14 ** 2)
+    witness = {"kind": "m-neg-one-prime", "p": p, "mod8": p % 8}
+    _with_chain(rep, "g2", _g2_chain(rep, witness))
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_m_neg_one_prime_three_mod_8_needs_the_m_minus_1_premise():
+    # 3 | 15 and 3 = 3 (mod 8): accepted only with m - 1 = 13 non-square stated
+    rep = verify_classification(-14 ** 2)
+    witness = {"kind": "m-neg-one-prime", "p": 3, "mod8": 3}
+    recheck_report(_with_chain(rep, "g2", _g2_chain(rep, witness, m1=13)))
+    _with_chain(rep, "g2", _g2_chain(rep, witness))
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_m_neg_one_prime_rejects_a_float_witness_past_float_precision():
+    m = 7 * 2 ** 60
+    assert (m + 1) % 7 == 1 and (m + 1) % 7.0 == 0
+    rep = verify_classification(-m * m)
+    _with_chain(rep, "g2", _g2_chain(rep, {"kind": "m-neg-one-prime", "p": 7.0, "mod8": 7.0}))
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_prime_witness_rules_at_small_c_and_m():
+    # c = 2: c + 1 = 3 is the witness, with c + 1 non-square as its premise
+    assert _track(verify_classification(2), "f").certificates == \
+        _stable_chain(2, {"kind": "neg-one-prime", "p": 3})
+    # m = 3: the list rule 3 (mod 4) applies before any divisor of m + 1
+    assert _cert(verify_classification(-9), "m-congruence")["modulus"] == 4
+    # m = 6: 7 = 7 (mod 8) divides m + 1 and needs no premise on m - 1
+    rep = verify_classification(-36)
+    recheck_report(_with_chain(rep, "g2", _g2_chain(
+        rep, {"kind": "m-neg-one-prime", "p": 7, "mod8": 7})))
+    # m = 10: 11 = 3 (mod 8) divides m + 1, but m - 1 = 9 is a square
+    rep = verify_classification(-100)
+    for m1 in (None, 9):
+        _with_chain(rep, "g2", _g2_chain(rep, {"kind": "m-neg-one-prime", "p": 11, "mod8": 3},
+                                         m1=m1))
+        with pytest.raises(AssertionError):
+            recheck_report(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(0, 250), k=st.integers(1, 40), n=st.integers(1, 10))
+def test_jacobi_class_residue_lemmas(q, k, n):
+    # d = 3 (mod 4), prime or not, and c + 1 = k d (resp. m + 1 = k d)
+    d = 4 * q + 3
+    c = k * d - 1
+    a_n = critical_numerators(c, n)[-1] % d
+    assert a_n == (0 if n % 2 == 0 else 1 if n == 1 else d - 1)
+    if n >= 3 and n % 2:
+        assert jacobi(a_n, d) == -1
+    m = k * d - 1
+    g2 = next(g for g in build_pattern(-m * m) if g.name == "g2")
+    value = eval_at_orbit(g2, -m * m, n) * m ** (2 ** n)
+    assert value.denominator == 1
+    w = value.numerator % d
+    assert w == (d - 1 if n % 2 == 0 else d - 2)
+    assert jacobi(w, d) == -1 or n % 2 and d % 8 == 3

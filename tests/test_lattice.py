@@ -1153,11 +1153,14 @@ def test_stab_checker_rejects_a_moved_initial_bound_on_an_escalated_entry(stab_e
         check_stab_certificate(replace(stab_e100, entries=(moved,) + stab_e100.entries[1:]))
 
 
-def test_stab_checker_rejects_moved_gamma_doublings(stab_e100):
-    check_stab_certificate(stab_e100)
-    with pytest.raises(TraceError):
-        check_stab_certificate(replace(stab_e100,
-                                       gamma_doublings=stab_e100.gamma_doublings + 7))
+def test_stab_checker_requires_small_c_coverage():
+    cert = verify_no_squares_up_to(10 ** 20)
+    check_stab_certificate(cert)
+    small = cert.small_c
+    assert [c for c, _ in small] == [1, 2, 3, 4]
+    for probe in ((), small[:1], small + small[3:]):
+        with pytest.raises(TraceError, match="small-c"):
+            check_stab_certificate(replace(cert, small_c=probe))
 
 
 def test_stab_certificate_checker_rejects_gaps():

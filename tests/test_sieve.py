@@ -329,23 +329,3 @@ def test_m_rules_match_and_verify():
     for k, residues in M_RULES_NEED_M_MINUS_1.items():
         for r in residues:
             assert verify_m_rule(k, r, True), (k, r)
-
-
-def test_fixed_rule_matching():
-    from quadorbit.sieve import match_fixed_rules
-
-    # m = -1 mod 7 with 7 = 7 mod 8: unconditional prime rule for the g2 track
-    rules = match_fixed_rules(m=6)
-    assert any(r.family == "m-neg-one-prime" and r.modulus == 7
-               and r.requires_nonsquare is None for r in rules)
-    # c = -1 mod 3: the numerator-track prime rule, needing c+1 non-square
-    rules_c = match_fixed_rules(c=2)
-    assert any(r.family == "c-neg-one-prime" and r.modulus == 3
-               and r.requires_nonsquare == "c+1" for r in rules_c)
-    # m = 3 mod 4 matches the published list family
-    assert any(r.family == "m-list" and r.modulus == 4 and r.residue == 3
-               for r in match_fixed_rules(m=3))
-    # p = 3 mod 8 prime rule carries the m-1 hypothesis
-    assert any(r.family == "m-neg-one-prime" and r.modulus == 11
-               and r.requires_nonsquare == "m-1"
-               for r in match_fixed_rules(m=10))
