@@ -3,12 +3,13 @@
 For c >= 4 the normalized terms a_n / c^(2^(n-1)-1) increase to c*F(c) with
 F(c) = (1 - sqrt(1 - 4/c))/2, and a square a_n forces a coprime splitting
 c = u*v whose near-unit ratio contradicts the growth once n passes a small
-threshold.  Everything real-valued is evaluated with interval arithmetic and
-one-sided rounding: a check only passes when it passes with the worst-case
-rounding, and integer outputs are exact floors of the real values.
+threshold.  The split inequalities are exact rational tests, and the integer
+bounds are exact floors of the real values, rounded from certified integer
+enclosures (rounding).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import rounding
@@ -17,114 +18,103 @@ from .orbit import is_perfect_square
 from .primes import factorize
 
 
-def _log_silver(ctx):
-    """L = log(3 + 2 sqrt 2), twice the log of the silver ratio 1 + sqrt 2."""
-    return ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2)))
+class Tables:
+    """One side's tables of ln 2 and L = log(3 + 2 sqrt 2): the producer's,
+    and the checker's, which only the checking paths read, so a checked
+    trace shares no arithmetic with its maker."""
+
+    def __init__(self):
+        self.ln2 = rounding.Constant(rounding.ln2)
+        self.L = rounding.Constant(rounding.silver_log)
 
 
-# L = log(3 + 2 sqrt 2) depends on neither N nor the pass, so each side keeps
-# one enclosure of it: the producer's, and the checker's, which only the
-# checking paths read, so a checked trace shares no arithmetic with its maker.
-_PROVER_L = rounding.Constant(_log_silver)
-_CHECKER_L = rounding.Constant(_log_silver)
+_PROVER = Tables()
+_CHECKER = Tables()
 
 
-def _sqrt_c(ctx, c: int):
-    return ctx.sqrt(ctx.mpf(c))
-
-
-def _F(ctx, c: int):
-    # (1 - sqrt(1 - 4/c)) / 2
-    return (1 - ctx.sqrt(1 - ctx.mpf(4) / c)) / 2
-
-
-def _eps_limit(ctx, c: int):
-    rF = ctx.sqrt(_F(ctx, c))
-    return _sqrt_c(ctx, c) * ctx.log((1 + rF) / (1 - rF))
-
-
-def _default_bits(c: int) -> int:
-    return max(128, c.bit_length() // 2 + 96)
-
-
-def stable_iterate_bound(c: int, bits: int | None = None) -> int:
+def stable_iterate_bound(c: int, bits: int = 64) -> int:
     """Iterate index m such that irreducibility of f^m forces all f^n.
 
     m = 1 + floor(log2(1 + (log 4 + eps(c)/sqrt(c)) / log(1 + 1/sqrt(c)))),
-    with the exact floor of the real value.
+    with the exact floor of the real value.  eps(c) / sqrt(c) = 2 atanh(rF),
+    rF^2 = F = (1 - sqrt(1 - 4/c)) / 2 = 2 / (c + sqrt(c^2 - 4c)), and
+    log(1 + 1/sqrt(c)) = 2 atanh(1 / (2 sqrt(c) + 1)), about 1 / sqrt(c): the
+    terms are enclosed bits(c) + 24 bits past the bits of the argument x, and
+    floor(log2 x) = bits(floor x) - 1 for x >= 1.
     """
     if c < 4:
         raise ValueError("the bound needs c >= 4")
-    bits = bits or _default_bits(c)
 
-    def build(ctx):
-        rc = _sqrt_c(ctx, c)
-        arg = 1 + (ctx.log(4) + _eps_limit(ctx, c) / rc) / ctx.log(1 + 1 / rc)
-        return ctx.log(arg) / ctx.log(2)
+    def build(prec):
+        w = prec + c.bit_length() + 24
+        one = 1 << w
+        r_lo, r_hi = rounding.sqrt(c << w, c << w, w)
+        q_lo, q_hi = rounding.sqrt(c * (c - 4) << w, c * (c - 4) << w, w)
+        f_lo = (one << (w + 1)) // ((c << w) + q_hi)
+        f_hi = rounding.ceil_div(one << (w + 1), (c << w) + q_lo)
+        a_lo, a_hi = rounding.atanh(*rounding.sqrt(f_lo, f_hi, w), w)
+        y_lo, y_hi = rounding.atanh((one << w) // (2 * r_hi + one),
+                                    rounding.ceil_div(one << w, 2 * r_lo + one), w)
+        t_lo, t_hi = _PROVER.ln2(w)
+        return ((1 << prec) + ((t_lo + a_lo) << prec) // y_hi,
+                (1 << prec) + rounding.ceil_div((t_hi + a_hi) << prec, y_lo))
 
-    return 1 + rounding.Enclosure(build, bits).floor()
+    return rounding.Enclosure(build, bits).floor().bit_length()
 
 
-def _split_threshold_holds(ratio: Fraction, c: int, bits: int) -> bool:
-    # ratio > 1.15 / c^(1/30), certified
-    def build(ctx):
-        return ctx.mpf(23) / 20 / ctx.exp(ctx.log(ctx.mpf(abs(c))) / 30)
-
-    hi = rounding.interval_fractions(build, bits)[1]
-    return ratio > hi
+# u / v > 1.15 / c^(1/30), both sides positive, raised to the 30th power
+_SPLIT_THRESHOLD = Fraction(23, 20) ** 30
 
 
-def valuation_split_inequality(c: int, bits: int = 128) -> bool:
-    """Odd-valuation vs even-valuation prime products against 1.15/|c|^(1/30).
+def _split_holds(c: int, on_top) -> bool:
+    """u / v > 1.15 / c^(1/30), exactly: (u / v)^30 c > (23/20)^30, with u
+    the product of the prime powers p^e of c that on_top(p, e) picks and
+    v = c / u."""
+    u = math.prod(p ** e for p, e in factorize(c).items() if on_top(p, e))
+    return Fraction(u * u, c) ** 30 * c > _SPLIT_THRESHOLD
+
+
+def valuation_split_inequality(c: int) -> bool:
+    """Odd-valuation vs even-valuation prime products against 1.15/c^(1/30).
 
     Also requires c not of the quartic form 4m^2(m^2-1); holds for every
     squarefree c.
     """
     if c < 4:
         raise ValueError("needs c >= 4")
-    if quartic_form_parameter(c) is not None:
-        return False
-    fac = factorize(c)
-    num = den = 1
-    for p, e in fac.items():
-        if e % 2 == 1:
-            num *= p ** e
-        else:
-            den *= p ** e
-    return _split_threshold_holds(Fraction(num, den), c, bits)
+    return quartic_form_parameter(c) is None and _split_holds(c, lambda p, e: e % 2)
 
 
-def square_split_inequality(c: int, bits: int = 128) -> bool:
+def square_split_inequality(c: int) -> bool:
     """For square c = k^2, k >= 2: primes not 1 mod 4 vs primes 1 mod 4."""
     if c < 4 or not is_perfect_square(c):
         raise ValueError("needs a square c >= 4")
-    fac = factorize(c)
-    num = den = 1
-    for p, e in fac.items():
-        if p % 4 == 1:
-            den *= p ** e
-        else:
-            num *= p ** e
-    return _split_threshold_holds(Fraction(num, den), c, bits)
+    return _split_holds(c, lambda p, e: p % 4 != 1)
 
 
-def initial_divisor_bound(n: int, L: rounding.Constant | None = None) -> int:
+def initial_divisor_bound(n: int, side: Tables | None = None) -> int:
     """Starting lower bound on |v| in any split forced by a square a_n.
 
     floor(((sqrt2 - 1)^(1/N)/theta) * (N/log4 - 3)) + 1, the exact floor of
     the real value plus one (sound: |v| strictly exceeds the real value).
     sqrt2 - 1 = exp(-L/2) and theta = 2^(1/N), so the ratio is the one exp
-    exp(-(L/2 + ln 2) / N) of the given L table (the producer's by
+    exp(-(L/2 + ln 2) / N) of the given side's tables (the producer's by
     default; the checker passes its own), and log 4 = 2 ln 2.  The value
-    has about n integer bits, so the enclosure starts at n + 64 bits and the
-    first one decides.
+    has about n integer bits, so both factors are taken n + 8 bits past the
+    enclosure's 64 bits of absolute precision, and the first one decides.
     """
     if n < 5:
         raise ValueError("needs n >= 5")
     N = (1 << (n - 1)) - 1
-    L = _PROVER_L if L is None else L
+    side = _PROVER if side is None else side
 
-    def build(ctx):
-        return ctx.exp(-(L(ctx) / 2 + ctx.ln2) / N) * (ctx.mpf(N) / (2 * ctx.ln2) - 3)
+    def build(prec):
+        w = prec + n + 8
+        (l_lo, l_hi), (t_lo, t_hi) = side.L(w), side.ln2(w)
+        e_lo, e_hi = rounding.exp(-(l_hi + 2 * t_hi) // (2 * N),
+                                  -((l_lo + 2 * t_lo) // (2 * N)), w, w)
+        f_lo = (N << 2 * w) // (2 * t_hi) - (3 << w)
+        f_hi = rounding.ceil_div(N << 2 * w, 2 * t_lo) - (3 << w)
+        return e_lo * f_lo >> (2 * w - prec), -(-e_hi * f_hi >> (2 * w - prec))
 
-    return rounding.Enclosure(build, max(192, n + 64)).floor() + 1
+    return rounding.Enclosure(build, 64).floor() + 1

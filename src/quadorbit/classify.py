@@ -364,7 +364,10 @@ def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
                 if cert:
                     return cert
         # a divisor 7 (mod 8) needs no hypothesis on m-1, so it goes first
-        ps = sorted(factorize(m + 1), key=lambda p: (p % 8 == 3, p))
+        try:
+            ps = sorted(factorize(m + 1), key=lambda p: (p % 8 == 3, p))
+        except FactorizationBudget:
+            return None
         certs = (rederive({"kind": "m-neg-one-prime", "p": p}) for p in ps)
         return next(filter(None, certs), None)
 

@@ -11,8 +11,8 @@ the integer root window of h pushes the lower bound B0 to roughly B0^2.
 Iterating reaches astronomically large bounds in about log log B passes.
 
 Every rounding is exact (half-up, ceiling or floor of the real value) and
-certified through interval arithmetic; every pass emits a trace that an
-independent checker re-verifies from the stored integers alone.
+certified through integer enclosures (rounding); every pass emits a trace
+that an independent checker re-verifies from the stored integers alone.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import rounding
 from .primes import primes_to
-from .bounds import _CHECKER_L, _PROVER_L, initial_divisor_bound, stable_iterate_bound
+from .bounds import _CHECKER, _PROVER, Tables, initial_divisor_bound, stable_iterate_bound
 from .sieve import (NumeratorTarget, SieveCertificate, find_sieve_certificate,
                     verify_sieve_certificate)
 
@@ -37,19 +37,27 @@ class EscalationStuck(ArithmeticError):
 
 # --- certified constants ----------------------------------------------------
 
-def _theta(ctx, N: int):
-    return ctx.exp(ctx.log(ctx.mpf(2)) / N)
+def _theta(prec: int, N: int, side: Tables):
+    """theta = 2^(1/N) = exp(ln 2 / N)."""
+    lo, hi = side.ln2(prec)
+    return rounding.exp(lo // N, -(-hi // N), prec, prec)
 
 
-def _delta2(ctx, N: int, L: rounding.Constant):
-    """delta^2 = (4 (3 + 2 sqrt 2)^(1/N) / (theta N))^2, as
-    16 exp(2 (L - ln 2) / N) / N^2: one exp of the shared L."""
-    return 16 * ctx.exp(2 * (L(ctx) - ctx.ln2) / N) / (N * N)
+def _delta2(prec: int, N: int, side: Tables):
+    """delta^2 = (4 (3 + 2 sqrt 2)^(1/N) / (theta N))^2 = 16 exp(2 (L - ln 2)
+    / N) / N^2.  16 / N^2 < 2^(6 - 2 bits(N)), so an exp up to 2 bits(N) - 10
+    bits short of prec (>= 6) still errs by under a unit at prec."""
+    w = max(prec - 2 * N.bit_length(), 0) + 10
+    (l_lo, l_hi), (t_lo, t_hi) = side.L(w), side.ln2(w)
+    lo, hi = rounding.exp(2 * (l_lo - t_hi) // N, -(-2 * (l_hi - t_lo) // N), w, w)
+    up, den = prec + 4 - w, N * N
+    return (lo << up) // den, -((-hi << up) // den)
 
 
-def _xi(ctx, N: int, L: rounding.Constant):
+def _xi(prec: int, N: int, side: Tables):
     """theta^2 (3 - 2 sqrt 2)^(1/N) = exp((2 ln 2 - L) / N)."""
-    return ctx.exp((2 * ctx.ln2 - L(ctx)) / N)
+    (l_lo, l_hi), (t_lo, t_hi) = side.L(prec), side.ln2(prec)
+    return rounding.exp((2 * t_lo - l_hi) // N, -((l_lo - 2 * t_hi) // N), prec, prec)
 
 
 # --- exact 2D closest-vector enumeration ------------------------------------
@@ -337,11 +345,12 @@ class EscalationTrace:
     b0_out: int
 
 
-def _theta_roundings(N: int, b0_8: int, bits: int) -> tuple[int, int]:
+def _theta_roundings(N: int, b0_8: int, bits: int, side: Tables) -> tuple[int, int]:
     """(round(theta^2 B0^8), round(2 theta B0^8 / N)) from one new enclosure
-    of theta / N, scaled exactly by N^2 B0^8 (squared) and by 2 B0^8."""
-    theta_n = rounding.Enclosure(lambda ctx: _theta(ctx, N) / N, bits)
-    return theta_n.nearest(N * N * b0_8, power=2), theta_n.nearest(2 * b0_8)
+    of theta; the second is floor((4 theta B0^8 + N) / (2N)), and
+    floor(y / m) = floor(floor(y) / m) for an integer m > 0."""
+    theta = rounding.Enclosure(lambda prec: _theta(prec, N, side), bits)
+    return theta.nearest(b0_8, power=2), (theta.floor(4 * b0_8) + N) // (2 * N)
 
 
 def _gamma_scale(delta2: rounding.Enclosure, doublings: int, b0_4: int,
@@ -435,11 +444,12 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     bits = bits or (8 * b0.bit_length() + 64)
     b0_4 = b0 ** 4
     b0_8 = b0_4 * b0_4
-    t2, tgt = _theta_roundings(N, b0_8, bits)
+    t2, tgt = _theta_roundings(N, b0_8, bits, _PROVER)
     # One delta^2 enclosure serves d and every doubling.  d = delta^2 B0^16
-    # carries twice the bits of B0^8, so the enclosure starts at twice the
-    # working precision, the precision d would otherwise refine to.
-    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _PROVER_L), 2 * bits)
+    # scales it by twice the bits of B0^8, so the enclosure starts at twice
+    # the working precision, the absolute precision d would otherwise refine
+    # to.
+    delta2 = rounding.Enclosure(lambda prec: _delta2(prec, N, _PROVER), 2 * bits)
     d_const = delta2.ceil(b0_8 * b0_8)
     reducer = IDENTITY
     for doublings in range(MAX_DOUBLINGS + 1):
@@ -479,23 +489,23 @@ class DivisorBoundCertificate:
 
 
 def _start_bits(n: int, magnitude_bits: int) -> int:
-    """First precision for a rounding of xi B^2 or sqrt(X / xi).  xi is
-    1 - 0.38 / N to first order, so when B^2 or X is small against N the
-    value lies about 2^-(n-1) from an integer, and n + 64 bits decide it."""
+    """First precision for a rounding of xi B^2 or sqrt(X / xi), of
+    magnitude_bits bits.  xi is 1 - 0.38 / N to first order, so when B^2 or X
+    is small against N the value lies about 2^-(n-1) from an integer."""
     return max(n, magnitude_bits) + 64
 
 
-def _xi_enclosure(n: int, B: int, L: rounding.Constant) -> rounding.Enclosure:
-    """One enclosure of xi, from the given L table, that starts at the
+def _xi_enclosure(n: int, B: int, side: Tables) -> rounding.Enclosure:
+    """One enclosure of xi, from the given side's tables, that starts at the
     precision floor(xi B^2) needs; it serves any bound up to B, each rounding
     scaling it exactly by that bound squared."""
     N = (1 << (n - 1)) - 1
-    return rounding.Enclosure(lambda ctx: _xi(ctx, N, L), _start_bits(n, 2 * B.bit_length()))
+    return rounding.Enclosure(lambda prec: _xi(prec, N, side), _start_bits(n, 2 * B.bit_length()))
 
 
 def c_exclusion_bound(n: int, B: int) -> int:
     """Certified floor of xi B^2, xi = theta^2 (3 - 2 sqrt 2)^(1/N)."""
-    return _xi_enclosure(n, B, _PROVER_L).floor(B * B)
+    return _xi_enclosure(n, B, _PROVER).floor(B * B)
 
 
 def required_divisor_bound(n: int, x_bound: int) -> int:
@@ -511,10 +521,16 @@ def required_divisor_bound(n: int, x_bound: int) -> int:
     """
     N = (1 << (n - 1)) - 1
 
-    def build(ctx):
-        return ctx.sqrt(ctx.mpf(x_bound) / _xi(ctx, N, _PROVER_L))
+    def build(prec):
+        # the square root halves the relative error of x_bound / xi, whose
+        # absolute error is x_bound that of xi
+        w = prec + x_bound.bit_length() // 2 + 8
+        lo, hi = _xi(w, N, _PROVER)
+        top = x_bound << 2 * w
+        r_lo, r_hi = rounding.sqrt(top // hi, rounding.ceil_div(top, lo), w)
+        return r_lo >> (w - prec), -(-r_hi >> (w - prec))
 
-    return rounding.Enclosure(build, _start_bits(n, x_bound.bit_length())).floor() + 1
+    return rounding.Enclosure(build, _start_bits(n, x_bound.bit_length() // 2)).floor() + 1
 
 
 def prove_divisor_bound(n: int, target_bound: int,
@@ -533,7 +549,7 @@ def prove_divisor_bound(n: int, target_bound: int,
     pass and any after it run from b0.
     """
     if initial is None:
-        initial = initial_divisor_bound(n, _PROVER_L)
+        initial = initial_divisor_bound(n, _PROVER)
     b0 = initial
     short = math.isqrt(target_bound) << SHORT_MARGIN
     traces: list[EscalationTrace] = []
@@ -567,7 +583,7 @@ def check_trace(trace: EscalationTrace) -> None:
     A trace holds n, B0 = b0_in, the gamma doublings of its successful
     attempt, that attempt's four points as coefficient pairs (v_j, u_j), and
     b0_out.  Everything else is recomputed here, nothing compared with a
-    stored copy: theta^2 B0^8 and the target from an enclosure of theta / N,
+    stored copy: theta^2 B0^8 and the target from an enclosure of theta,
     and the lattice scale, d and the x^6 coefficient from one of delta^2 at
     gamma = 2^doublings delta^2; sigma from the points; then h(B0) < 0 and
     b0_out as the edge of the h-window are tested.
@@ -581,15 +597,15 @@ def check_trace(trace: EscalationTrace) -> None:
     and starts each pass at that bound or past the target's square root, so
     B0 has at least about (n - 1) / 2 bits), the doublings must lie in
     [0, MAX_DOUBLINGS], and the points must be 4 distinct integer pairs.
-    It encloses theta / N once at bits and delta^2 once at 2 * bits
-    (d = delta^2 B0^16 carries twice the bits of B0^8), refining only when a
-    rounding is undecided.  Every rounding is the exact half-up,
-    ceiling or floor of the real value, whatever precision decides it.
-    Independence rests on L = log(3 + 2 sqrt 2) from the checker's own
-    table, which the producer never reads, and on the checker's own
-    roundings.  Not yet checked: that the points are the four nearest to the
-    target, so a trace that stores other lattice points can overstate
-    b0_out.  Raises TraceError on any failure.
+    It encloses theta once at bits and delta^2 once at 2 * bits of absolute
+    precision (d = delta^2 B0^16 scales it by twice the bits of B0^8),
+    refining only when a rounding is undecided.  Every rounding is the exact
+    half-up, ceiling or floor of the real value, whatever precision decides
+    it.  Independence rests on ln 2 and L = log(3 + 2 sqrt 2) from the
+    checker's own tables, which the producer never reads, and on the
+    checker's own roundings.  Not yet checked: that the points are the four
+    nearest to the target, so a trace that stores other lattice points can
+    overstate b0_out.  Raises TraceError on any failure.
     """
     n, b0, out = trace.n, trace.b0_in, trace.b0_out
     if not (_ints(n, b0, out) and b0 > 0):
@@ -605,8 +621,8 @@ def check_trace(trace: EscalationTrace) -> None:
         raise TraceError("points are not 4 distinct integer pairs")
     N = (1 << (n - 1)) - 1
     b0_4, b0_8 = b0 ** 4, b0 ** 8
-    t2, tgt = _theta_roundings(N, b0_8, bits)
-    delta2 = rounding.Enclosure(lambda ctx: _delta2(ctx, N, _CHECKER_L), 2 * bits)
+    t2, tgt = _theta_roundings(N, b0_8, bits, _CHECKER)
+    delta2 = rounding.Enclosure(lambda prec: _delta2(prec, N, _CHECKER), 2 * bits)
     scale_a, x6 = _gamma_scale(delta2, doublings, b0_4, b0_8)
     sigma = _adjusted_sigma(pts, scale_a, t2, b0_8, tgt)
     h = _h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
@@ -630,7 +646,7 @@ def check_divisor_certificate(cert: DivisorBoundCertificate) -> rounding.Enclosu
     A trace may thus start below the proved bound, as the last one of an
     honest chain does.
     """
-    if cert.initial_bound != initial_divisor_bound(cert.n, _CHECKER_L):
+    if cert.initial_bound != initial_divisor_bound(cert.n, _CHECKER):
         raise TraceError("initial bound mismatch")
     b0 = cert.initial_bound
     for tr in cert.traces:
@@ -641,7 +657,7 @@ def check_divisor_certificate(cert: DivisorBoundCertificate) -> rounding.Enclosu
         b0 = tr.b0_out
     if b0 != cert.final_bound or b0 <= cert.target_bound:
         raise TraceError("final bound does not clear the target")
-    xi = _xi_enclosure(cert.n, cert.final_bound, _CHECKER_L)
+    xi = _xi_enclosure(cert.n, cert.final_bound, _CHECKER)
     if xi.floor(cert.final_bound ** 2) < cert.c_exclusion:
         raise TraceError("c exclusion bound overstated")
     return xi
@@ -689,7 +705,7 @@ def _small_c_certificates() -> list[tuple[int, SieveCertificate]]:
 def stab_entry_for_prime(p: int, x_bound: int) -> StabEntry:
     """The per-prime unit of work: escalate unless the initial bound suffices."""
     required = required_divisor_bound(p, x_bound)
-    b0 = initial_divisor_bound(p, _PROVER_L)
+    b0 = initial_divisor_bound(p, _PROVER)
     if b0 >= required:
         return StabEntry(p, required, b0, None)
     return StabEntry(p, required, b0, prove_divisor_bound(p, required, b0))
@@ -741,9 +757,9 @@ def check_stab_certificate(cert: StabCertificate) -> None:
         if e.certificate is None:
             if e.initial_bound < e.required_bound:
                 raise TraceError(f"missing escalation at p={e.prime}")
-            if initial_divisor_bound(e.prime, _CHECKER_L) != e.initial_bound:
+            if initial_divisor_bound(e.prime, _CHECKER) != e.initial_bound:
                 raise TraceError(f"initial bound mismatch at p={e.prime}")
-            xi = _xi_enclosure(e.prime, e.required_bound, _CHECKER_L)
+            xi = _xi_enclosure(e.prime, e.required_bound, _CHECKER)
         else:
             # check_divisor_certificate recomputes the certificate's initial
             # bound, which the entry's must equal

@@ -1,92 +1,121 @@
-"""Certified rounding of real expressions via interval arithmetic.
+"""Certified rounding of real expressions in integer arithmetic.
 
 Every integer or boolean produced here is exact for the true real value, not
-for a floating approximation.  Callers pass a *builder*: a function taking an
-interval context and returning an interval enclosure of the quantity of
-interest.  Builders evaluate in the one shared context of iv_context, set to
-the working precision; a builder returns its enclosure before any other
-iv_context call.  Every integer rounding goes through an Enclosure, and is
-exact or raises PrecisionExhausted: when the enclosure is too wide to decide
-it, the precision is doubled and the expression rebuilt, and it raises rather
-than settle on an endpoint past MAX_BITS, or after MAX_DOUBLINGS doublings
-that each left it between two adjacent integers.  interval_fractions is the
-one fixed-precision enclosure, for one-sided tests that may fail to decide.
-A Constant keeps one enclosure of a fixed real, in a context of its own, for
-builders that use that real at many precisions.
+for a floating approximation.  An enclosure of a real x at the absolute
+precision prec is a pair of integers lo <= x 2^prec <= hi, and a *builder*
+is a function of prec that returns one.  Builders use only integer
+operations, each rounded outward: floor and ceiling division, math.isqrt
+floored and ceiled (sqrt), and the counted series of exp, atanh and the
+constants; they may work at a higher precision and cut the result to prec.
+Every integer rounding goes through an Enclosure, and is exact or raises
+PrecisionExhausted: when the enclosure is too wide to decide it, the
+precision is doubled and the expression rebuilt, and it raises rather than
+settle on an endpoint past MAX_BITS, or after MAX_DOUBLINGS doublings that
+each left it between two adjacent integers.  A Constant keeps one enclosure
+of a fixed real, grown by doubling, for builders that use it at many
+precisions.
 
-Both contexts evaluate exp through _exp_bounds, a Taylor series in fixed
-point whose truncation errors are counted, so its enclosure is certified
-without trusting mpmath's exp.  mpf_exp is not accurate to an ulp at high
-precision: rounded up, it falls short of exp(x) by 1.6 ulps at 8000 bits
-for some x near 2^-22, and by 172 ulps at 17104 bits for the argument of
-delta^2 at p = 37 in the 10^1000 run.  An interval exp([a, b]) costs one
-series when the width w >= b - a is below 2^-(prec // 2), as it is for
-every argument the lattice and bounds build (a few ulps wide): with hi(a)
-the series' upper bound, exp(b) <= exp(a) exp(w) <= hi(a)(1 + w + w^2) for
-0 <= w <= 1, which lies within about two ulps of exp(b), since
-hi(a) w^2 < 2 ulps.  A wider argument takes a second series, at b.
+The constants are ln 2 = 2 atanh(1/3) = (2/3) S(9) and
+L = log(3 + 2 sqrt 2) = 2 asinh(1) = 2 atanh(1/sqrt 2)
+= sqrt 2 (S(8) + S(50) / 5), with S(q) = sum q^-k / (2k + 1).  At a working
+precision w, _odd_series sums the K terms of S(q) with q^K > 2^w exactly, by
+binary splitting (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4),
+and divides once: in units of 2^-w the quotient is off by under 1, the cut
+of its operands by under 1 and the tail by under 1.  ln 2 takes 2/3 of
+that, and L its product with sqrt 2, enclosed by isqrt; two and four guard
+bits leave each within 3 units of 2^-prec.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import (fzero, from_man_exp, mpci_exp, mpf_add, mpf_exp, mpf_mul, mpf_pos,
-                          mpf_sub, round_ceiling, round_floor)
-
 MAX_BITS = 1 << 22
 # Doublings a rounding may take once only the side of an integer is left to
-# decide.  verify_no_squares_up_to plus its checker at X = 10^100, ~8*10^300
-# and 10^1000, and classify plus recheck over |c| <= 3000, need none, with
-# exp from _exp_bounds as with mpmath's; outside the tests of Enclosure
-# itself, the test suite's most is one (an escalation pass run at 16 working
-# bits).  A value on an integer would otherwise refine to MAX_BITS: 10 s for
-# sqrt(7)^2, and about an hour for a builder that calls exp (2 s at 2^17
-# bits, 4x per doubling).
+# decide.  The stab runs at X = 10^100, ~8*10^300 and 10^1000 and classify
+# over |c| <= 3000, each with its checker, need none; a value on an integer
+# would otherwise refine to MAX_BITS, for an hour in a builder that calls exp.
 MAX_DOUBLINGS = 8
-DEFAULT_BITS = 128
-# Precision of the argument width w >= b - a and of w + w^2 in an interval exp,
-# both rounded up: only their size matters, never their low bits.
-_WIDTH_BITS = 32
+_WIDTH_BITS = 32     # bits of an interval exp's width: only its size matters
 
-Builder = Callable[[MPIntervalContext], object]
+Builder = Callable[[int], tuple[int, int]]
 
 
 class PrecisionExhausted(ArithmeticError):
     """A certified decision failed even at the precision cap."""
 
 
-def _exp_bounds(x, prec: int):
-    """Certified mpf bounds lo <= exp(x) <= hi, each within about an ulp of it.
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0."""
+    return -(-a // b)
 
-    x / 2^k, with k making it below 2^-reduce_to, is cut to W fractional bits
-    (X), and exp of it summed as its even and odd Taylor series, one product
-    by X^2 per pair of terms; k squarings undo the reduction.  In units of
-    2^-W: X^2 is off by at most 2, cutting X^2 to the bits a small term
-    needs costs at most 2 more, each product and division floors by under
-    1, and a term's own error shrinks at least 4-fold through the next
-    product, so every term is within 8 of its true value; once a term rounds
-    to 0, the rest of its series sums to under 16.  So S = s0 + s1 X, from
-    j - 2 terms, is off by less than E = 8 j + 32.  Squaring S +- E gives
-    S^2 +- (2 E S + E^2), plus one for the floor.  The guard bits of W keep
-    E far below an ulp of the result.
+
+def _split(a: int, b: int, q: int) -> tuple[int, int, int]:
+    """(Q, B, T) for sum_{a <= k < b} q^(a-k) / (2k + 1) = T / (B Q), with
+    Q = q^(b - a) (one factor fewer from a = 0) and B = prod (2k + 1)."""
+    if b - a == 1:
+        return (q if a else 1), 2 * a + 1, 1
+    m = (a + b) // 2
+    q1, b1, t1 = _split(a, m, q)
+    q2, b2, t2 = _split(m, b, q)
+    return q1 * q2, b1 * b2, t1 * b2 * q2 + b1 * t2
+
+
+def _odd_series(q: int, w: int) -> tuple[int, int]:
+    """Enclosure at w of S(q) = sum_{k >= 0} q^-k / (2k + 1), q >= 2: with
+    T / D the sum of K terms, q^K > 2^w, and t and d its numerator and
+    denominator cut to w + 9 bits of d, t / (d + 1) <= T / D < (t + 1) / d."""
+    qk, b, t = _split(0, w // (q.bit_length() - 1) + 1, q)
+    d = b * qk
+    sh = max(0, d.bit_length() - w - 9)
+    t, d = t >> sh, d >> sh
+    return (t << w) // (d + 1), ((t + 1) << w) // d + 2
+
+
+def ln2(prec: int) -> tuple[int, int]:
+    """Enclosure of ln 2 = 2 atanh(1/3) = (2/3) sum 9^-k / (2k + 1) at prec."""
+    lo, hi = _odd_series(9, prec + 2)
+    return 2 * lo // 12, ceil_div(2 * hi, 12)
+
+
+def silver_log(prec: int) -> tuple[int, int]:
+    """Enclosure of L = 2 atanh(1/sqrt 2) at prec.  atanh(1/sqrt 2) =
+    2 atanh(1/(2 sqrt 2)) + atanh(1/(5 sqrt 2)), by atanh x + atanh y =
+    atanh((x + y) / (1 + xy)) twice, and atanh(1/(m sqrt 2)) = S(2m^2) /
+    (m sqrt 2); r < sqrt 2 2^w < r + 1, since sqrt 2 is irrational."""
+    w = prec + 4
+    (a, b), (c, d) = _odd_series(8, w), _odd_series(50, w)
+    r = isqrt(2 << 2 * w)
+    lo, hi = (a + c // 5) * r, (b + ceil_div(d, 5)) * (r + 1)
+    return lo >> (2 * w - prec), -(-hi >> (2 * w - prec))
+
+
+def _exp_bounds(x: int, w: int, prec: int) -> tuple[int, int]:
+    """Enclosure of exp(x / 2^w) at prec, within about an ulp of it.
+
+    x / 2^(w + k), with k making it below 2^-reduce_to, is cut to W
+    fractional bits (X), and exp of it summed as its even and odd Taylor
+    series, one product by X^2 per pair of terms; k squarings undo the
+    reduction.  In units of 2^-W: X^2 is off by at most 2, cutting X^2 to
+    the bits a small term needs costs at most 2 more, each product and
+    division floors by under 1, and a term's own error shrinks at least
+    4-fold through the next product, so every term is within 8 of its true
+    value; once a term rounds to 0, the rest of its series sums to under 16.
+    So S = s0 + s1 X, from j - 2 terms, is off by less than E = 8 j + 32.
+    Squaring S +- E gives S^2 +- (2 E S + E^2), plus one for the floor.  The
+    guard bits of W keep E, grown 2^k-fold by the squarings and scaled by
+    exp(x) < 2^(1.5 * 2^mag), far below an ulp of the result.
     """
-    sign, man, exp, bc = x
-    if not man:                          # 0, +-inf, nan: mpf_exp is exact
-        v = mpf_exp(x, prec)
-        return v, v
-    if sign:
-        man = -man
-    mag = exp + bc                       # |x| < 2^mag
+    if not x:
+        return 1 << prec, 1 << prec
+    mag = x.bit_length() - w              # |x| / 2^w < 2^mag
     reduce_to = max(4, isqrt(prec) // 2)
     k = max(0, mag + reduce_to)
     W = prec + k + 2 * prec.bit_length() + 8
-    if sign and mag > 0:                 # exp(x) >= 2^(-1.5 * 2^mag)
+    if x > 0 and mag > 0:
         W += 3 << (mag - 1)
-    sh = exp + W - k
-    X = man << sh if sh >= 0 else man >> -sh
+    sh = W - k - w
+    X = x << sh if sh >= 0 else x >> -sh
     X2 = X * X >> W
     one = 1 << W
     s0 = s1 = a = one                    # sums of x^2i / (2i)! and x^2i / (2i + 1)!
@@ -101,128 +130,90 @@ def _exp_bounds(x, prec: int):
     S, E = s0 + (s1 * X >> W), 8 * j + 32
     for _ in range(k):
         S, E = S * S >> W, ((2 * E * S + E * E) >> W) + 2
-    return (from_man_exp(S - E, -W, prec, round_floor),
-            from_man_exp(S + E, -W, prec, round_ceiling))
+    return (S - E) >> (W - prec), -(-(S + E) >> (W - prec))
 
 
-def _mpi_exp_outward(s, prec: int):
-    # one series at a bounds exp(b) from above as well, while w^2 < 2^(1 - prec)
-    a, b = s
-    lo, hi = _exp_bounds(a, prec)
-    w = mpf_sub(b, a, _WIDTH_BITS, round_ceiling)
-    if w == fzero or w[1] and w[2] + w[3] <= -(prec // 2):
-        w_w2 = mpf_add(w, mpf_mul(w, w, _WIDTH_BITS, round_ceiling), _WIDTH_BITS, round_ceiling)
-        hi = mpf_add(hi, mpf_mul(hi, w_w2, prec, round_ceiling), prec, round_ceiling)
-    else:
-        hi = _exp_bounds(b, prec)[1]
-    return lo, hi
+def exp(lo: int, hi: int, w: int, prec: int) -> tuple[int, int]:
+    """Enclosure at prec of exp over [lo, hi] / 2^w.  One series, at lo,
+    when the width is below 2^-(prec // 2), as for every argument the lattice
+    and bounds build: with v the width rounded up to _WIDTH_BITS bits and b
+    the series' upper bound, exp(hi) <= b (1 + v + v^2) for 0 <= v <= 1,
+    within about two ulps, since b v^2 < 2 ulps.  Else a second, at hi."""
+    a, b = _exp_bounds(lo, w, prec)
+    d = hi - lo
+    if d.bit_length() > w - prec // 2:
+        return a, _exp_bounds(hi, w, prec)[1]
+    s = max(0, d.bit_length() - _WIDTH_BITS)
+    v, shift = -(-d >> s), w - s          # v / 2^shift >= d / 2^w
+    u = -(-b * v >> shift)
+    return a, b + u - (-u * v >> shift)
 
 
-class _OutwardContext(MPIntervalContext):
-    """An interval context whose exp rounds outward."""
-
-    def _init_builtins(self):
-        super()._init_builtins()
-        self.exp = self._wrap_mpi_function(_mpi_exp_outward, mpci_exp)
-
-
-_context: MPIntervalContext | None = None
+def sqrt(lo: int, hi: int, w: int) -> tuple[int, int]:
+    """Enclosure at w of sqrt over [lo, hi] / 2^w, 0 <= lo <= hi."""
+    top = hi << w
+    b = isqrt(top)
+    return isqrt(lo << w), b + (b * b < top)
 
 
-def iv_context(bits: int) -> MPIntervalContext:
-    """The shared interval context, set to the given precision.
+def atanh(lo: int, hi: int, w: int) -> tuple[int, int]:
+    """Enclosure at w of atanh over [lo, hi] / 2^w, 0 <= lo <= hi < 2^w,
+    (lo / 2^w)^2 <= 1/2: the series sum z^(2k+1) / (2k + 1) at z = lo / 2^w.
 
-    It is created on first use; each call resets its precision, so a caller
-    finishes with the context before the next call.
+    In units of 2^-w, each power floors t q / 2^w with q = floor(z^2 2^w),
+    so a power off by e makes the next one off by under e z^2 + 2, under 4,
+    and a term off by under 4/3 + 1 < 3; once a power is 0 the rest is under
+    1, so K terms past the first are off by under 3 K + 1.  The slope
+    1 / (1 - z^2) is largest at hi, which adds (hi - lo) / (1 - (hi/2^w)^2).
     """
-    global _context
-    if _context is None:
-        _context = _OutwardContext()
-    _context.prec = bits
-    return _context
-
-
-def _dyadic(raw) -> tuple[int, int]:
-    """An mpf endpoint as (num, exp) with value num * 2^exp."""
-    sign, man, exp, _bc = raw
-    if man == 0:
-        if exp == 0:
-            return 0, 0
-        raise PrecisionExhausted("non-finite interval endpoint")
-    return (-int(man) if sign else int(man)), exp
-
-
-def _mpf_to_fraction(raw) -> Fraction:
-    num, exp = _dyadic(raw)
-    return Fraction(num) * Fraction(2) ** exp
-
-
-def iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact dyadic endpoints of an interval; lo <= true value <= hi."""
-    lo, hi = x._mpi_
-    return _mpf_to_fraction(lo), _mpf_to_fraction(hi)
-
-
-def interval_fractions(build: Builder, bits: int | None = None) -> tuple[Fraction, Fraction]:
-    return iv_endpoints(build(iv_context(bits or DEFAULT_BITS)))
-
-
-def _floor_shifted(num: int, shift: int) -> int:
-    """floor(num / 2^shift)."""
-    return num >> shift
-
-
-def _floor_half_up(num: int, shift: int) -> int:
-    """floor(num / 2^shift + 1/2)."""
-    return (2 * num + (1 << shift)) >> (shift + 1)
-
-
-def _ceil_shifted(num: int, shift: int) -> int:
-    """ceil(num / 2^shift)."""
-    return -((-num) >> shift)
+    if 2 * lo * lo > 1 << 2 * w or hi >> w:
+        raise ValueError("atanh needs z^2 <= 1/2 at the lower end and z < 1")
+    q = lo * lo >> w
+    s = t = lo
+    j = 1
+    while t:
+        t = t * q >> w
+        j += 2
+        s += t // j
+    up = s + 3 * (j // 2) + 1
+    if hi > lo:
+        up += ceil_div((hi - lo) << 2 * w, (1 << 2 * w) - hi * hi)
+    return s, up
 
 
 class Constant:
     """One certified enclosure of a fixed real, grown by doubling.
 
-    Calling it with an interval context returns the enclosure rounded
-    outward to that context's precision.  When the caller asks for more
-    precision than is held, the builder is evaluated afresh, in the
-    instance's own context, at max(asked, 2 * held) bits, so a run evaluates
-    it once per doubling of the largest precision asked for.
+    Calling it with a precision returns the enclosure cut outward to it.
+    When the caller asks for more precision than is held, the builder is
+    evaluated afresh at max(asked, 2 * held) bits, so a run evaluates it
+    once per doubling of the largest precision asked for.
     """
 
     def __init__(self, build: Builder):
         self._build = build
-        self._ctx: MPIntervalContext | None = None
         self._bits = 0
-        self._lo = self._hi = None
+        self._lo = self._hi = 0
 
-    def __call__(self, ctx: MPIntervalContext):
-        prec = ctx.prec
+    def __call__(self, prec: int) -> tuple[int, int]:
         if prec > self._bits:
-            if self._ctx is None:
-                self._ctx = _OutwardContext()
-            bits = max(prec, 2 * self._bits)
-            self._ctx.prec = bits
-            self._lo, self._hi = self._build(self._ctx)._mpi_
-            self._bits = bits
-        return ctx.make_mpf((mpf_pos(self._lo, prec, round_floor),
-                             mpf_pos(self._hi, prec, round_ceiling)))
+            self._bits = max(prec, 2 * self._bits)
+            self._lo, self._hi = self._build(self._bits)
+        s = self._bits - prec
+        return self._lo >> s, -(-self._hi >> s)
 
 
 class Enclosure:
-    """One certified enclosure lo <= x <= hi of a real x, shared by roundings
-    of the scaled powers x^power * scale with exact integer scales.
+    """One certified enclosure lo <= x 2^bits <= hi of a real x, shared by
+    roundings of the scaled powers x^power * scale with exact integer scales.
 
-    The dyadic endpoints are kept as integers over one power of two, so each
-    rounding is a product and a shift; squaring the enclosure needs lo > 0.
-    A rounding the enclosure cannot decide doubles its precision and rebuilds
-    it, and later roundings reuse the sharper enclosure.  It raises
-    PrecisionExhausted past MAX_BITS, or after MAX_DOUBLINGS doublings that
-    each left the value's two rounded endpoints one apart, as they stay for
-    a value on an integer.  Every result is the exact rounding of the true
-    value, whatever the precision that decided it.
+    Each rounding is a product and a shift; squaring the enclosure needs
+    lo > 0.  A rounding the enclosure cannot decide doubles its precision
+    and rebuilds it, and later roundings reuse the sharper enclosure.  It
+    raises PrecisionExhausted past MAX_BITS, or after MAX_DOUBLINGS
+    doublings that each left the value's two rounded endpoints one apart, as
+    they stay for a value on an integer.  Every result is the exact rounding
+    of the true value, whatever the precision that decided it.
     """
 
     def __init__(self, build: Builder, bits: int):
@@ -233,10 +224,7 @@ class Enclosure:
     def _enclose(self) -> None:
         if self._bits > MAX_BITS:
             raise PrecisionExhausted(f"undecided at {MAX_BITS} bits")
-        lo, hi = self._build(iv_context(self._bits))._mpi_
-        (a, ea), (b, eb) = _dyadic(lo), _dyadic(hi)
-        e = min(ea, eb, 0)
-        self._lo, self._hi, self._shift = a << (ea - e), b << (eb - e), -e
+        self._lo, self._hi = self._build(self._bits)
 
     def _decide(self, round_shifted, scale: int, power: int) -> int:
         """Round x^power * scale, first from the one product lo^power * scale.
@@ -253,7 +241,7 @@ class Enclosure:
         while True:
             lo, hi = self._lo, self._hi
             if power == 1 or lo > 0:
-                shift = power * self._shift
+                shift = power * self._bits
                 low = lo ** power * scale
                 width = power * (hi - lo) * abs(scale) << ((power - 1) * hi.bit_length())
                 a = round_shifted(low - width, shift)
@@ -273,12 +261,13 @@ class Enclosure:
 
     def floor(self, scale: int = 1, power: int = 1) -> int:
         """Floor of x^power * scale."""
-        return self._decide(_floor_shifted, scale, power)
+        return self._decide(lambda num, shift: num >> shift, scale, power)
 
     def nearest(self, scale: int, power: int = 1) -> int:
         """Half-up nearest integer of x^power * scale: floor(. + 1/2)."""
-        return self._decide(_floor_half_up, scale, power)
+        return self._decide(lambda num, shift: (2 * num + (1 << shift)) >> (shift + 1),
+                            scale, power)
 
     def ceil(self, scale: int, power: int = 1) -> int:
         """Ceiling of x^power * scale."""
-        return self._decide(_ceil_shifted, scale, power)
+        return self._decide(lambda num, shift: -(-num >> shift), scale, power)

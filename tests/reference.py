@@ -2,11 +2,16 @@
 
 find_coprime_power_split searches every coprime split of c for the one a
 square a_n would force; lattice_attempt rebuilds one attempt of an
-escalation pass, with the values a trace does not store.
+escalation pass, with the values a trace does not store; from_ctx makes an
+enclosure builder of an mpmath interval expression, the reference the
+integer enclosures are tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
 
 from quadorbit import lattice, rounding
 from quadorbit.orbit import DEFAULT_BIT_BUDGET, critical_numerators
@@ -82,8 +87,8 @@ def lattice_attempt(n: int, b0: int, doublings: int) -> Attempt:
     bits = 8 * b0.bit_length() + 64
     b0_4 = b0 ** 4
     b0_8 = b0_4 * b0_4
-    t2, tgt = lattice._theta_roundings(N, b0_8, bits)
-    delta2 = rounding.Enclosure(lambda ctx: lattice._delta2(ctx, N, lattice._PROVER_L),
+    t2, tgt = lattice._theta_roundings(N, b0_8, bits, lattice._PROVER)
+    delta2 = rounding.Enclosure(lambda prec: lattice._delta2(prec, N, lattice._PROVER),
                                 2 * bits)
     scale_a, x6 = lattice._gamma_scale(delta2, doublings, b0_4, b0_8)
     basis = ((scale_a, t2), (0, -b0_8))
@@ -91,3 +96,20 @@ def lattice_attempt(n: int, b0: int, doublings: int) -> Attempt:
     sigma = lattice._adjusted_sigma(points, scale_a, t2, b0_8, tgt)
     h = lattice._h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
     return Attempt(scale_a, basis, (0, tgt), points, sigma, h(b0) < 0)
+
+
+_CONTEXT = MPIntervalContext()
+
+
+def from_ctx(build, guard: int = 0):
+    """The enclosure builder of an mpmath interval expression: build(ctx) in
+    an interval context at prec + guard bits, its endpoints cut outward to
+    integers over 2^prec.  mpmath rounds its interval sqrt, log and division
+    outward, but not its exp, which can fall ulps short above a few thousand
+    bits; guard bits keep such a miss far below the cut."""
+    def integer_build(prec: int) -> tuple[int, int]:
+        _CONTEXT.prec = prec + guard
+        lo, hi = build(_CONTEXT)._mpi_
+        return (to_int(mpf_shift(lo, prec), round_floor),
+                to_int(mpf_shift(hi, prec), round_ceiling))
+    return integer_build

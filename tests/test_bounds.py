@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
-from quadorbit import rounding
-from quadorbit.bounds import (_F, _eps_limit, initial_divisor_bound,
-                              square_split_inequality, stable_iterate_bound,
-                              valuation_split_inequality)
-from quadorbit.orbit import critical_numerators
-from reference import coprime_splits, find_coprime_power_split
+from quadorbit.bounds import (initial_divisor_bound, square_split_inequality,
+                              stable_iterate_bound, valuation_split_inequality)
+from quadorbit.factors import quartic_form_parameter
+from quadorbit.orbit import critical_numerators, is_perfect_square
+from quadorbit.primes import factorize
+from reference import coprime_splits, find_coprime_power_split, from_ctx
 
 
 def _contains(bounds, value, tol=1e-12):
@@ -17,12 +17,29 @@ def _contains(bounds, value, tol=1e-12):
     return float(lo) - tol <= value <= float(hi) + tol
 
 
+def interval_fractions(build, bits=128):
+    """The endpoints of an mpmath interval expression, cut outward to
+    multiples of 2^-bits, as fractions."""
+    lo, hi = from_ctx(build, guard=64)(bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+def _F(ctx, c):
+    # (1 - sqrt(1 - 4/c)) / 2
+    return (1 - ctx.sqrt(1 - ctx.mpf(4) / c)) / 2
+
+
+def _eps_limit(ctx, c):
+    rF = ctx.sqrt(_F(ctx, c))
+    return ctx.sqrt(ctx.mpf(c)) * ctx.log((1 + rF) / (1 - rF))
+
+
 def F_bounds(c):
-    return rounding.interval_fractions(lambda ctx: _F(ctx, c))
+    return interval_fractions(lambda ctx: _F(ctx, c))
 
 
 def eps_limit_bounds(c):
-    return rounding.interval_fractions(lambda ctx: _eps_limit(ctx, c))
+    return interval_fractions(lambda ctx: _eps_limit(ctx, c))
 
 
 def eps_n_bounds(c, n):
@@ -34,7 +51,7 @@ def eps_n_bounds(c, n):
         r = ctx.sqrt(ctx.mpf(a_n))
         return ctx.sqrt(ctx.mpf(c)) * ctx.log((r + a_prev) / (r - a_prev))
 
-    return rounding.interval_fractions(build, 192)
+    return interval_fractions(build, 192)
 
 
 def test_F_values():
@@ -88,7 +105,7 @@ def test_ratio_inequality_42():
     worst, worst_c = 0, None
     for c in range(4, 200):
         q = min(Fraction(v, u) for u, v in coprime_splits(c) if v > u)
-        hi = rounding.interval_fractions(
+        hi = interval_fractions(
             lambda ctx: (_eps(ctx, c)) / (ctx.sqrt(ctx.mpf(c)) *
                                           ctx.log(ctx.mpf(q.numerator) / q.denominator)))[1]
         if float(hi) > worst:
@@ -106,7 +123,7 @@ def test_ratio_inequalities_43_44():
     for c, bound, must_hold in ((100, Fraction(212, 100), True),
                                 (10400, Fraction(201, 100), True),
                                 (10 ** 6, Fraction(201, 100), True)):
-        hi = rounding.interval_fractions(
+        hi = interval_fractions(
             lambda ctx: _eps(ctx, c) / (ctx.sqrt(ctx.mpf(c)) *
                                         ctx.log(1 + 1 / ctx.sqrt(ctx.mpf(c)))))[1]
         assert (hi < bound) == must_hold, c
@@ -115,7 +132,7 @@ def test_ratio_inequalities_43_44():
 def test_log_reciprocal_inequality_45():
     # 1/log(1 + 1/sqrt(c)) <= sqrt(c) + 1/2
     for c in (4, 5, 10, 100, 9999, 10 ** 8):
-        hi = rounding.interval_fractions(
+        hi = interval_fractions(
             lambda ctx: 1 / ctx.log(1 + 1 / ctx.sqrt(ctx.mpf(c)))
             - (ctx.sqrt(ctx.mpf(c)) + ctx.mpf(1) / 2))[1]
         assert hi <= 0, c
@@ -128,7 +145,7 @@ def test_exp_eps_inequality_41():
         for n in (2, 4, 6):
             seq = critical_numerators(c, n)
             a_prev, a_n = seq[-2], seq[-1]
-            hi = rounding.interval_fractions(
+            hi = interval_fractions(
                 lambda ctx: ctx.exp(ctx.log((ctx.sqrt(ctx.mpf(a_n)) + a_prev)
                                             / (ctx.sqrt(ctx.mpf(a_n)) - a_prev)))
                 - (1 + 4 * (1 + ctx.sqrt(ctx.mpf(2))) / ctx.sqrt(ctx.mpf(c))))[1]
@@ -169,14 +186,14 @@ def test_initial_divisor_bound_is_exact():
     # the exact floor plus one, against an 8192-bit reference, on both sides
     # of p = 1543, where the value first has more bits than a 1536-bit
     # enclosure can round: the rounding refines rather than settle
-    ctx = MPIntervalContext()
-    ctx.prec = 8192
-    two = ctx.mpf(2)
     for p in (1531, 1543, 1657):
         N = (1 << (p - 1)) - 1
-        x = ctx.exp(ctx.log(ctx.sqrt(two) - 1) / N) / ctx.exp(ctx.log(two) / N) \
-            * (ctx.mpf(N) / ctx.log(4) - 3)
-        lo, hi = rounding.iv_endpoints(x)
+
+        def build(ctx):
+            two = ctx.mpf(2)
+            return ctx.exp(ctx.log(ctx.sqrt(two) - 1) / N) / ctx.exp(ctx.log(two) / N) \
+                * (ctx.mpf(N) / ctx.log(4) - 3)
+        lo, hi = interval_fractions(build, 8192 - 64)
         exact = math.floor(lo)
         assert exact == math.floor(hi)
         assert initial_divisor_bound(p) == exact + 1
@@ -193,9 +210,36 @@ def test_split_search_examples():
 
 def test_conservative_rounding_stability():
     # certified verdicts must not flip when precision doubles
-    for c in (6, 36, 100, 1024):
-        v1 = valuation_split_inequality(c, bits=128)
-        v2 = valuation_split_inequality(c, bits=256)
-        assert v1 == v2
     assert stable_iterate_bound(10 ** 6, bits=128) == \
         stable_iterate_bound(10 ** 6, bits=1024)
+
+
+def _split_ratios(c):
+    """The ratios valuation_split_inequality and square_split_inequality
+    test against 1.15 / c^(1/30), None where a test takes none."""
+    fac = factorize(c)
+    odd = math.prod(p ** e for p, e in fac.items() if e % 2)
+    not_1_mod_4 = math.prod(p ** e for p, e in fac.items() if p % 4 != 1)
+    return (None if quartic_form_parameter(c) is not None else Fraction(odd * odd, c),
+            Fraction(not_1_mod_4 ** 2, c) if is_perfect_square(c) else None)
+
+
+def test_exact_split_threshold_matches_the_interval_route():
+    # ratio^30 c > (23/20)^30 against ratio > hi(1.15 / exp(log c / 30)),
+    # the one-sided interval test it replaced, at 128 and 256 bits
+    ctx = MPIntervalContext()
+    tested = 0
+    for c in range(4, 20001):
+        valuation, square = _split_ratios(c)
+        for ratio, holds in ((valuation, valuation_split_inequality),
+                             (square, square_split_inequality)):
+            if ratio is None:
+                continue
+            for bits in (128, 256):
+                ctx.prec = bits
+                hi = ctx.mpf(23) / 20 / ctx.exp(ctx.log(ctx.mpf(c)) / 30)
+                sign, man, exp, _ = hi._mpi_[1]
+                hi = Fraction(-man if sign else man) * Fraction(2) ** exp
+                assert holds(c) == (ratio > hi), c
+            tested += 1
+    assert tested > 20000

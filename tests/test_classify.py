@@ -6,13 +6,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadorbit import classify
+from quadorbit import classify, primes
 from quadorbit.classify import (PINNED_SIEVE_PRIMES, CaseId, Effort, detect_case,
                                 factor_count_profile, recheck_report, report_to_json,
                                 verify_classification, verify_range)
 from quadorbit.factors import build_pattern, eval_at_orbit, f_coeffs, poly_compose
 from quadorbit.orbit import critical_numerators, is_perfect_square
-from quadorbit.sieve import jacobi
+from quadorbit.sieve import jacobi, match_m_rules
 
 
 def test_detect_case_spot_values():
@@ -594,3 +594,19 @@ def test_jacobi_class_residue_lemmas(q, k, n):
     w = value.numerator % d
     assert w == (d - 1 if n % 2 == 0 else d - 2)
     assert jacobi(w, d) == -1 or n % 2 and d % 8 == 3
+
+
+def test_g2_falls_back_to_the_sieve_when_m_plus_1_resists_factoring(monkeypatch):
+    # no list rule applies to m = p q - 1, and with a small rho budget m + 1
+    # cannot be factored: the classification must not raise, and the sieve
+    # track proves g2
+    monkeypatch.setattr(primes, "RHO_BUDGET", 1 << 8)
+    p, q = 10 ** 20 + 3931, 100000000000001003971
+    m = p * q - 1
+    assert not match_m_rules(m)
+    with pytest.raises(primes.FactorizationBudget):
+        primes.factorize(m + 1)
+    rep = verify_classification(-m * m)
+    assert rep.verified
+    assert _cert(rep, "sieve")
+    recheck_report(rep)

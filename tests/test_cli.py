@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quadorbit
 from quadorbit.cli import _parse_big, main
 from quadorbit.density import density_profile
 
@@ -232,3 +236,39 @@ def test_trace_json_past_the_int_digit_limit(capsys):
     assert max(len(e["c_bound"]) for e in payload["entries"] if "c_bound" in e) > 640
     assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
         "4159be2ea7cca33057c7201c14ed4321eda647dd2c774c22a4c6d2f0177b1b5f"
+
+
+_NO_MPMATH = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+sys.modules["mpmath"] = None
+from quadorbit.cli import main
+from quadorbit.classify import recheck_report, verify_classification
+out = io.StringIO()
+with redirect_stdout(out):
+    assert main(["stab-verify", "--x", "1e60", "--emit-trace", "--json"]) == 0
+payload = json.loads(out.getvalue())
+del payload["elapsed_seconds"]
+print(hashlib.sha256((json.dumps(payload) + "\\n").encode()).hexdigest())
+for c in (-25, -16, -9, -64, 288, 48, 5, 10 ** 6 + 1):
+    rep = verify_classification(c)
+    assert rep.verified, c
+    recheck_report(rep)
+print("classified")
+"""
+
+
+def _python(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(quadorbit.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_no_runtime_dependency_on_mpmath():
+    # with mpmath unimportable, the 1e60 certificate keeps its pinned digest,
+    # and one c of each case classifies and rechecks
+    assert _python(_NO_MPMATH) == [
+        "d73b2302ee23531a657d96e8494c4c03c3b089b04dc01001f67d89418f56e66f", "classified"]
+    assert _python("import sys, quadorbit.cli; print('mpmath' in sys.modules)") == ["False"]

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_exp, round_ceiling,
-                          round_floor)
+from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling, round_floor, to_int
 
 from quadorbit import bounds, lattice, rounding
 from quadorbit.primes import primes_to
@@ -20,15 +19,16 @@ from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                required_divisor_bound, stab_entry_for_prime,
                                verify_no_squares_up_to)
 from quadorbit.sieve import NumeratorTarget, verify_sieve_certificate
-from reference import lattice_attempt
+from reference import from_ctx, lattice_attempt
 
 
-# --- references: per-doubling roundings from a fresh builder each time, and
-# the constants as written before they shared one log(3 + 2 sqrt 2) --------
+# --- references: per-doubling roundings from a fresh mpmath builder each
+# time, and the constants as written before they shared one L table --------
 
 def _refined(build, pick, bits=128):
     while True:
-        res = pick(*rounding.iv_endpoints(build(rounding.iv_context(bits))))
+        lo, hi = from_ctx(build, guard=64)(bits)
+        res = pick(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
         if res is not None:
             return res
         bits *= 2
@@ -61,18 +61,26 @@ def _floor_int(build, bits=128):
     return _refined(build, pick, bits)
 
 
+def _theta_ref(ctx, N):
+    return ctx.exp(ctx.log(ctx.mpf(2)) / N)
+
+
 def _theta2_ref(ctx, N):
     return ctx.exp(ctx.log(ctx.mpf(2)) * 2 / N)
 
 
+def _log_silver_ref(ctx):
+    return ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2)))
+
+
 def _delta2_ref(ctx, N):
-    d = 4 * ctx.exp(ctx.log(3 + 2 * ctx.sqrt(ctx.mpf(2))) / N) / (lattice._theta(ctx, N) * N)
+    d = 4 * ctx.exp(_log_silver_ref(ctx) / N) / (_theta_ref(ctx, N) * N)
     return d * d
 
 
 def test_fixed_point_root():
     # 2^(1/15) rounded to 64 fractional bits: theta^N brackets 2 within one ulp
-    val = Fraction(_nearest_int(lambda ctx: lattice._theta(ctx, 15) * 2 ** 64), 2 ** 64)
+    val = Fraction(_nearest_int(lambda ctx: _theta_ref(ctx, 15) * 2 ** 64), 2 ** 64)
     ulp = Fraction(1, 2 ** 64)
     assert (val - ulp) ** 15 < 2 < (val + ulp) ** 15
     # scaled roundings match the recorded basis/target integers
@@ -85,19 +93,17 @@ def test_shared_constant_formulas_enclose_the_old_ones():
     # the table hands out L rounded outward: it contains a sharper
     # enclosure made apart from it; delta^2 and theta^2 (3 - 2 sqrt 2)^(1/N)
     # from L overlap the direct formulas, at precisions the table grows through
-    sharp = MPIntervalContext()
-    sharp.prec = 4096
-    l_lo, l_hi = rounding.iv_endpoints(bounds._log_silver(sharp))
+    l_lo, l_hi = (Fraction(x, 1 << 4096) for x in from_ctx(_log_silver_ref)(4096))
     for N in (15, 63, 8191):
         for bits in (64, 1000, 64):
-            ctx = rounding.iv_context(bits)
-            lo, hi = rounding.iv_endpoints(lattice._PROVER_L(ctx))
+            lo, hi = (Fraction(x, 1 << bits) for x in lattice._PROVER.L(bits))
             assert lo <= l_lo and l_hi <= hi
-            pairs = [(lattice._delta2(ctx, N, lattice._PROVER_L), _delta2_ref(ctx, N)),
-                     (lattice._xi(ctx, N, lattice._PROVER_L),
-                      _theta2_ref(ctx, N) * ctx.exp(ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N))]
-            for new, old in pairs:
-                (a, b), (c, d) = rounding.iv_endpoints(new), rounding.iv_endpoints(old)
+            pairs = [(lattice._delta2(bits, N, lattice._PROVER),
+                      from_ctx(lambda ctx: _delta2_ref(ctx, N), 64)(bits)),
+                     (lattice._xi(bits, N, lattice._PROVER),
+                      from_ctx(lambda ctx: _theta2_ref(ctx, N) * ctx.exp(
+                          ctx.log(3 - 2 * ctx.sqrt(ctx.mpf(2))) / N), 64)(bits))]
+            for (a, b), (c, d) in pairs:
                 assert a <= d and c <= b
 
 
@@ -123,7 +129,7 @@ def test_enclosure_floor_matches_reference(real, scale, bits):
     # exact floors of x^power * scale from one enclosure, whatever precision
     # it starts at; a later rounding reuses the refined enclosure
     build, power = real
-    enc = rounding.Enclosure(build, bits)
+    enc = rounding.Enclosure(from_ctx(build), bits)
     assert enc.floor(scale, power) == _floor_int(lambda ctx: build(ctx) ** power * scale)
     assert enc.floor() == _floor_int(build)
 
@@ -132,7 +138,7 @@ def test_enclosure_floor_raises_rather_than_settling(monkeypatch):
     # 1/3 * 3 is the integer 1: every enclosure of it straddles 1, so no
     # precision decides its floor, and the rounding raises at the cap
     monkeypatch.setattr(rounding, "MAX_BITS", 1024)
-    enc = rounding.Enclosure(lambda ctx: ctx.mpf(1) / 3 * 3, 64)
+    enc = rounding.Enclosure(from_ctx(lambda ctx: ctx.mpf(1) / 3 * 3), 64)
     with pytest.raises(rounding.PrecisionExhausted):
         enc.floor()
 
@@ -158,8 +164,8 @@ class _TwoEndpoints(_Logged):
         while True:
             lo, hi = self._lo, self._hi
             if power == 1 or lo > 0:
-                a = round_shifted(lo ** power * scale, power * self._shift)
-                b = round_shifted(hi ** power * scale, power * self._shift)
+                a = round_shifted(lo ** power * scale, power * self._bits)
+                b = round_shifted(hi ** power * scale, power * self._bits)
                 if a == b:
                     return a
                 if abs(b - a) == 1:
@@ -173,7 +179,7 @@ class _TwoEndpoints(_Logged):
 def _roundings_and_log(cls, build, bits, roundings):
     """Each rounding's value (None where it raised) on one enclosure, and the
     precisions it was enclosed at."""
-    enc = cls(build, bits)
+    enc = cls(from_ctx(build), bits)
     out = []
     for op, scale, power in roundings:
         try:
@@ -235,54 +241,58 @@ def test_enclosure_gives_up_on_an_integer_within_seconds(rounding_of):
     # sqrt(7)^2 is the integer 7 at the default MAX_BITS: no enclosure decides
     # its floor or ceiling, and the rounding stops after MAX_DOUBLINGS
     # doublings between 7 and its neighbour rather than refine for an hour
-    enc = rounding.Enclosure(lambda ctx: ctx.sqrt(ctx.mpf(7)) ** 2, 128)
+    enc = rounding.Enclosure(from_ctx(lambda ctx: ctx.sqrt(ctx.mpf(7)) ** 2), 128)
     start = time.perf_counter()
     with pytest.raises(rounding.PrecisionExhausted):
         getattr(enc, rounding_of)(1)
     assert time.perf_counter() - start < 5
 
 
-@pytest.mark.parametrize("bits, arg", [
-    pytest.param(200, lambda ctx: ctx.log(ctx.mpf(2)) / ((1 << 214) - 1), id="theta-p215"),
-    pytest.param(125, lambda ctx: ctx.mpf(205) / 2 ** 100, id="205-over-2^100"),
-])
-def test_interval_exp_rounds_outward(bits, arg):
-    # mpmath's interval exp returns a point below the true value here; the
-    # shared context and a Constant's own context widen it outward
-    sharp = MPIntervalContext()
-    sharp.prec = 800
-    lo, hi = rounding.iv_endpoints(sharp.exp(arg(sharp)))
+_TEST = bounds.Tables()   # apart from either side's tables
 
-    def build(ctx):
-        return ctx.exp(arg(ctx))
-    for enclosure in (build(rounding.iv_context(bits)),
-                      rounding.Constant(build)(rounding.iv_context(bits))):
-        a, b = rounding.iv_endpoints(enclosure)
+
+@pytest.mark.parametrize("bits, arg, build", [
+    pytest.param(200, lambda ctx: ctx.log(ctx.mpf(2)) / ((1 << 214) - 1),
+                 lambda prec: lattice._theta(prec, (1 << 214) - 1, _TEST), id="theta-p215"),
+    pytest.param(125, lambda ctx: ctx.mpf(205) / 2 ** 100,
+                 lambda prec: rounding.exp(205, 205, 100, prec), id="205-over-2^100"),
+])
+def test_interval_exp_rounds_outward(bits, arg, build):
+    # mpmath's interval exp returns a point below the true value here; the
+    # integer exp, and a Constant of it, round outward
+    lo, hi = (Fraction(x, 1 << 800) for x in from_ctx(lambda ctx: ctx.exp(arg(ctx)))(800))
+    for enclosure in (build(bits), rounding.Constant(build)(bits)):
+        a, b = (Fraction(x, 1 << bits) for x in enclosure)
         assert a <= lo and hi <= b
 
 
 # --- the one-series interval exp against a reference 800 bits sharper -----
 
 _PRECS = st.one_of(st.sampled_from((53, 8000)), st.integers(53, 8000))
-_TEST_L = rounding.Constant(bounds._log_silver)   # apart from either side's table
 
 
-def _ulp(x, prec):
-    return Fraction(2) ** (x[2] + x[3] - prec)
+def _ulp(prec):
+    return Fraction(1, 1 << prec)
 
 
-def _exp_reference(a, b, prec):
-    """exp(a) and exp(b) from mpmath at prec + 800 bits, each moved 2^400 of
-    its ulps out: far more than mpmath's own error there (rounding's
-    docstring), and still 2^-400 of an ulp at prec.  exp(0) = 1 is exact,
-    so an endpoint 0 gives 1, unmoved."""
+def _mpf_fraction(y):
+    sign, man, exp, _ = y
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _exp_reference(a, b, w, prec):
+    """exp(a / 2^w) and exp(b / 2^w) from mpmath at prec + 800 bits, each
+    moved 2^400 of its own ulps out: far more than mpmath's own error there
+    (172 ulps at most, at 17104 bits, of the misses below), and still 2^-400
+    of an ulp at prec.  exp(0) = 1 is exact, so an endpoint 0 gives 1,
+    unmoved."""
     ref = prec + 800
 
     def endpoint(x, rnd, out):
-        if x == fzero:
+        if x == 0:
             return Fraction(1)
-        y = mpf_exp(x, ref, rnd)
-        return rounding._mpf_to_fraction(y) + out * _ulp(y, ref) * 2 ** 400
+        y = mpf_exp(from_man_exp(x, -w), ref, rnd)
+        return _mpf_fraction(y) + out * Fraction(2) ** (y[2] + y[3] - ref + 400)
 
     return endpoint(a, round_floor, -1), endpoint(b, round_ceiling, 1)
 
@@ -292,43 +302,42 @@ def _count_series(monkeypatch):
     calls = []
     series = rounding._exp_bounds
 
-    def counted(x, prec):
+    def counted(x, w, prec):
         calls.append(prec)
-        return series(x, prec)
+        return series(x, w, prec)
     monkeypatch.setattr(rounding, "_exp_bounds", counted)
     return calls
 
 
-def _outward_exp(a, b, prec):
-    """The shared context's exp of [a, b], and its number of series."""
+def _outward_exp(a, b, w, prec):
+    """The integer exp of [a, b] / 2^w, and its number of series."""
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_series(mp)
-        ctx = rounding.iv_context(prec)
-        out = ctx.exp(ctx.make_mpf((a, b)))
-    return out._mpi_, len(calls)
+        out = rounding.exp(a, b, w, prec)
+    return out, len(calls)
 
 
-def _check_exp(a, b, prec, ulps):
-    """exp([a, b]) encloses the reference, each endpoint within the given
-    number of its ulps of it; returns the number of series."""
-    (lo, hi), calls = _outward_exp(a, b, prec)
-    ref_lo, ref_hi = _exp_reference(a, b, prec)
-    lo_f, hi_f = rounding._mpf_to_fraction(lo), rounding._mpf_to_fraction(hi)
+def _check_exp(a, b, w, prec, ulps):
+    """exp([a, b] / 2^w) encloses the reference, each endpoint within the
+    given number of ulps at prec of it; returns the number of series."""
+    (lo, hi), calls = _outward_exp(a, b, w, prec)
+    ref_lo, ref_hi = _exp_reference(a, b, w, prec)
+    lo_f, hi_f = Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
     assert lo_f <= ref_lo and ref_hi <= hi_f
-    assert ref_lo - lo_f <= ulps * _ulp(lo, prec) and hi_f - ref_hi <= ulps * _ulp(hi, prec)
+    assert ref_lo - lo_f <= ulps * _ulp(prec) and hi_f - ref_hi <= ulps * _ulp(prec)
     return calls
 
 
 @st.composite
 def _narrow_intervals(draw):
-    """(a, b, prec): a of either sign and magnitude 2^-1000 to 2^3 with prec
-    bits, and b = a plus 0 to 16 of a's ulps."""
+    """(a, b, w, prec): a / 2^w of either sign and magnitude 2^-1000 to 2^3
+    with prec significant bits, and b = a plus 0 to 16 of a's units."""
     prec = draw(_PRECS)
     mag = draw(st.integers(-1000, 3))
     man = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
     a = man * draw(st.sampled_from((1, -1)))
     b = a + draw(st.integers(0, 16))
-    return from_man_exp(a, mag - prec), from_man_exp(b, mag - prec), prec
+    return a, b, prec - mag, prec
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,12 +347,15 @@ def test_narrow_interval_exp_takes_one_series_and_encloses(args):
 
 
 def _check_lattice_exp(p, prec, which):
-    """ln 2 / N or 2 (L - ln 2) / N, the arguments of theta / N and delta^2,
-    as the lattice builds them: one series, and an enclosure."""
+    """ln 2 / N or 2 (L - ln 2) / N, the arguments of theta and delta^2, as
+    the lattice builds them: one series, and an enclosure."""
     N = (1 << (p - 1)) - 1
-    ctx = rounding.iv_context(prec)
-    arg = ctx.log(ctx.mpf(2)) / N if which == "theta" else 2 * (_TEST_L(ctx) - ctx.ln2) / N
-    assert _check_exp(*arg._mpi_, prec, ulps=4) == 1
+    (l_lo, l_hi), (t_lo, t_hi) = _TEST.L(prec), _TEST.ln2(prec)
+    if which == "theta":
+        a, b = t_lo // N, -(-t_hi // N)
+    else:
+        a, b = 2 * (l_lo - t_hi) // N, -(-2 * (l_hi - t_lo) // N)
+    assert _check_exp(a, b, prec, prec, ulps=4) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -359,9 +371,10 @@ def test_lattice_exp_arguments_take_one_series_and_enclose(p, prec, which):
 @example(prec=53, man=2, sign=-1, mag=3, width=-16)   # [-2^-16, 0]: exp(b) = 1 exactly
 def test_wide_interval_exp_takes_two_series_and_encloses(prec, man, sign, mag, width):
     # from a width of 2^-(prec // 2) up, b takes its own series
-    a = from_man_exp(sign * man, mag - 20)
-    b = mpf_add(a, from_man_exp(1, max(width, -(prec // 2))), 0)   # exact
-    assert _check_exp(a, b, prec, ulps=2) == 2
+    w = prec + 24
+    a = sign * man << (w + mag - 20)
+    b = a + (1 << (w + max(width, -(prec // 2))))
+    assert _check_exp(a, b, w, prec, ulps=2) == 2
 
 
 @pytest.mark.parametrize("prec, p, which", [
@@ -679,7 +692,7 @@ def test_out_of_range_doublings_are_rejected_before_any_enclosure(monkeypatch, d
     tr = escalation_pass(5, 166)
     built = _count_enclosures(monkeypatch)
     check_trace(tr)
-    assert len(built) == 2      # theta / N and delta^2
+    assert len(built) == 2      # theta and delta^2
     built.clear()
     with pytest.raises(TraceError):
         check_trace(replace(tr, doublings=doublings))
@@ -773,7 +786,7 @@ def _reference_pass(n, b0, bits=None):
     b0_4 = b0 ** 4
     b0_8 = b0_4 * b0_4
     t2 = _nearest_int(lambda ctx: _theta2_ref(ctx, N) * b0_8, bits)
-    tgt = _nearest_int(lambda ctx: 2 * lattice._theta(ctx, N) * b0_8 / N, bits)
+    tgt = _nearest_int(lambda ctx: 2 * _theta_ref(ctx, N) * b0_8 / N, bits)
     d_const = _ceil_int(lambda ctx: _delta2_ref(ctx, N) * b0_8 * b0_8, bits)
     for doublings in range(lattice.MAX_DOUBLINGS + 1):
         mult = 1 << doublings
@@ -804,9 +817,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     fn = getattr(lattice, name)
 
-    def counted(ctx, *args):
-        calls.append(ctx.prec)
-        return fn(ctx, *args)
+    def counted(prec, *args):
+        calls.append(prec)
+        return fn(prec, *args)
     monkeypatch.setattr(lattice, name, counted)
     return calls
 
@@ -922,7 +935,7 @@ def test_check_trace_encloses_each_constant_once(monkeypatch):
     delta2 = _count_calls(monkeypatch, "_delta2")
     theta = _count_calls(monkeypatch, "_theta")
     check_trace(tr)
-    # the checker's own precision from B0, the producer's default: theta / N
+    # the checker's own precision from B0, the producer's default: theta
     # once at it, and delta^2 once (from the checker's L, without theta) at
     # twice it; no refinement is needed here
     bits = 8 * tr.b0_in.bit_length() + 64
@@ -941,24 +954,27 @@ def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
     tr = escalation_pass(13, b0)     # 8 attempts, all from the same two enclosures
     assert len(attempts) == 8
     bits = 8 * b0.bit_length() + 64
-    assert calls == [bits, 2 * bits]     # theta / N, then delta^2
+    # theta, then delta^2, whose exp runs 2 bits(N) - 10 = 14 bits short of
+    # its enclosure's 2 * bits (16 / N^2 carries the rest)
+    assert calls == [bits, 2 * bits - 14]
     calls.clear()
     check_trace(tr)
-    assert calls == [bits, 2 * bits]
+    assert calls == [bits, 2 * bits - 14]
 
 
 def test_stab_check_exp_cost_at_1e100(stab_e100, monkeypatch):
     # the exact number and largest precision of the checker's exp series
-    # over a 10^100 certificate: per escalated pass one theta / N and one
+    # over a 10^100 certificate: per escalated pass one theta and one
     # delta^2, and per prime one initial bound and one xi, with no
     # refinement.  A fresh checker table keeps the count apart from earlier
-    # tests.
-    _fresh_table(monkeypatch, "_CHECKER_L")
+    # tests.  The largest is delta^2's at p = 5 and 768 working bits:
+    # 2 * 768 - 2 bits(15) + 10.
+    _fresh_table(monkeypatch, "_CHECKER")
     calls = _count_series(monkeypatch)
     check_stab_certificate(stab_e100)
     passes = sum(len(e.certificate.traces) for e in stab_e100.entries if e.certificate)
     assert len(calls) == 2 * passes + 2 * len(stab_e100.entries) == 204
-    assert max(calls) == 1536
+    assert max(calls) == 1538
 
 
 def test_stab_entry_encloses_the_initial_bound_once(monkeypatch):
@@ -976,14 +992,14 @@ def test_stab_entry_encloses_the_initial_bound_once(monkeypatch):
         assert calls == [p]
 
 
-def _fresh_table(monkeypatch, name, build=bounds._log_silver):
+def _fresh_table(monkeypatch, name, build=rounding.silver_log):
     """Replace one side's L table by a new one whose evaluations are logged."""
     evals = []
 
-    def logged(ctx):
-        evals.append(ctx.prec)
-        return build(ctx)
-    monkeypatch.setattr(lattice, name, rounding.Constant(logged))
+    def logged(prec):
+        evals.append(prec)
+        return build(prec)
+    monkeypatch.setattr(getattr(lattice, name), "L", rounding.Constant(logged))
     return evals
 
 
@@ -995,14 +1011,13 @@ def test_constants_cost_grows_with_table_doublings_not_passes(monkeypatch):
         made.append(1)
         init(ctx)
     monkeypatch.setattr(MPIntervalContext, "__init__", counted_init)
-    monkeypatch.setattr(rounding, "_context", None)
-    prover = _fresh_table(monkeypatch, "_PROVER_L")
-    checker = _fresh_table(monkeypatch, "_CHECKER_L")
+    prover = _fresh_table(monkeypatch, "_PROVER")
+    checker = _fresh_table(monkeypatch, "_CHECKER")
     cert = verify_no_squares_up_to(10 ** 100)
     check_stab_certificate(cert)
     passes = sum(len(e.certificate.traces) for e in cert.entries if e.certificate)
-    # one shared context plus one per table, however many passes ran
-    assert len(made) == 3
+    # no interval context at all, however many passes ran
+    assert len(made) == 0
     assert passes > 20
     # each table is evaluated only when asked past what it holds, and then
     # at least doubles, so its evaluations are its growths
@@ -1012,9 +1027,8 @@ def test_constants_cost_grows_with_table_doublings_not_passes(monkeypatch):
     assert len(prover) + len(checker) < passes
 
 
-def _shifted_l(ctx):
-    # L moved up by a relative 2^-20: an enclosure that misses the true value
-    return bounds._log_silver(ctx) * (1 + ctx.mpf(2) ** -20)
+# L moved up by a relative 2^-20: an enclosure that misses the true value
+_shifted_l = from_ctx(lambda ctx: _log_silver_ref(ctx) * (1 + ctx.mpf(2) ** -20))
 
 
 def _third_pass_bound(n=7):
@@ -1032,7 +1046,7 @@ def _third_pass_bound(n=7):
 def test_checker_does_not_read_the_producers_table(monkeypatch):
     b0 = _third_pass_bound()
     honest = escalation_pass(7, b0)
-    _fresh_table(monkeypatch, "_PROVER_L", _shifted_l)
+    _fresh_table(monkeypatch, "_PROVER", _shifted_l)
     tr = escalation_pass(7, b0)
     assert tr.b0_out != honest.b0_out
     with pytest.raises(TraceError):
@@ -1042,7 +1056,7 @@ def test_checker_does_not_read_the_producers_table(monkeypatch):
 def test_checker_rejects_an_honest_trace_under_its_own_wrong_table(monkeypatch):
     tr = escalation_pass(7, _third_pass_bound())
     check_trace(tr)
-    _fresh_table(monkeypatch, "_CHECKER_L", _shifted_l)
+    _fresh_table(monkeypatch, "_CHECKER", _shifted_l)
     with pytest.raises(TraceError):
         check_trace(tr)
 
