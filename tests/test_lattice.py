@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling, round_floor, to_int
+from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling, round_floor
 
 from quadorbit import bounds, lattice, rounding
 from quadorbit.primes import primes_to
