@@ -27,7 +27,7 @@ from .orbit import (BitBudgetExceeded, critical_numerators, is_perfect_square,
                     is_rational_square, isqrt_if_square)
 from .primes import FactorizationBudget, factorize, primes_to
 from .sieve import (FactorTarget, SieveCertificate, TermCheck, TermUnresolved,
-                    certificate_at_prime, check_term_nonsquare,
+                    _estimated_term_bits, certificate_at_prime, check_term_nonsquare,
                     find_sieve_certificate, jacobi, load_static_congruence_table,
                     match_congruence_rows, match_m_rules, verify_m_rule,
                     verify_row_coverage, verify_sieve_certificate)
@@ -364,12 +364,8 @@ def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
                 if cert:
                     return cert
         # a divisor 7 (mod 8) needs no hypothesis on m-1, so it goes first
-        try:
-            ps = sorted(factorize(m + 1), key=lambda p: (p % 8 == 3, p))
-        except FactorizationBudget:
-            return None
-        certs = (rederive({"kind": "m-neg-one-prime", "p": p}) for p in ps)
-        return next(filter(None, certs), None)
+        return _divisor_witness(m + 1, "m-neg-one-prime", rederive,
+                                lambda p: (p % 8 == 3, p))
 
     def rederive(cert: Cert) -> Cert | None:
         if cert["kind"] == "m-congruence":
@@ -410,13 +406,16 @@ def _static_table():
     return load_static_congruence_table()
 
 
-def _neg_one_prime_cert(c: int) -> Cert | None:
-    """The least prime of c+1 that _rederive_neg_one_prime accepts."""
+def _divisor_witness(n: int, kind: str, rederive: Callable[[Cert], Cert | None],
+                     key: Callable[[int], Any] | None = None) -> Cert | None:
+    """The certificate {"kind": kind, "p": p} as rederive rebuilds it, for the
+    first prime p of n in key order (ascending by default) that rederive
+    accepts; None when none does or n is too hard to factor."""
     try:
-        ps = sorted(factorize(c + 1))
+        ps = sorted(factorize(n), key=key)
     except FactorizationBudget:
         return None
-    certs = (_rederive_neg_one_prime(c, {"kind": "neg-one-prime", "p": p}) for p in ps)
+    certs = (rederive({"kind": kind, "p": p}) for p in ps)
     return next(filter(None, certs), None)
 
 
@@ -454,13 +453,9 @@ def _rederive_table_row(c: int, cert: Cert) -> Cert | None:
     return None
 
 
-def _estimated_bits(c: int, n: int) -> int:
-    return ((1 << (n - 1)) - 1) * max(1, abs(c).bit_length()) + 8
-
-
 def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert:
     """Certify a_p(c) non-square: exact when small, lattice otherwise."""
-    if _estimated_bits(c, p) <= effort.exact_bit_budget:
+    if _estimated_term_bits(c, p) + 8 <= effort.exact_bit_budget:
         a_p = critical_numerators(c, p, effort.exact_bit_budget * 2)[-1]
         if is_perfect_square(a_p):
             return {"kind": "counterexample", "index": p}
@@ -494,8 +489,9 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
         return TrackReport(name, claim, certs, "VERIFIED")
     c1_cert = _exact_nonsquare_cert("a_n", 2, Fraction(c + 1))
     if c1_cert is not None:
-        rule = _pick(chain, "neg-one-prime", lambda: _neg_one_prime_cert(c),
-                     lambda k: _rederive_neg_one_prime(c, k)) \
+        neg_one = functools.partial(_rederive_neg_one_prime, c)
+        rule = _pick(chain, "neg-one-prime",
+                     lambda: _divisor_witness(c + 1, "neg-one-prime", neg_one), neg_one) \
             or _pick(chain, "table-congruence", lambda: _table_row_cert(c),
                      lambda k: _rederive_table_row(c, k))
         if rule is not None:
@@ -574,14 +570,6 @@ def verify_classification(c: int, effort: Effort | None = None) -> VerificationR
         tracks.append(build(c, verdict, factors, name, effort))
     return VerificationReport(c, verdict, factor_count_profile(verdict),
                               tracks, _combine(tracks))
-
-
-def verify_range(c_lo: int, c_hi: int, effort: Effort | None = None):
-    """Reports for every admissible c in [c_lo, c_hi], ascending."""
-    effort = effort if effort is not None else Effort()
-    for c in range(c_lo, c_hi + 1):
-        if c not in (0, -1):
-            yield verify_classification(c, effort)
 
 
 # --- offline rechecking ------------------------------------------------------

@@ -128,14 +128,13 @@ def cmd_stab_verify(args) -> int:
     cert = lattice.verify_no_squares_up_to(x, progress=progress, jobs=args.jobs)
     lattice.check_stab_certificate(cert)
     elapsed = time.time() - t0
-    with _any_int_digits():
-        payload = _stab_to_json(cert, emit_trace=args.emit_trace)
-        payload["elapsed_seconds"] = round(elapsed, 3)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=1)
-        if args.json:
-            print(json.dumps(payload))
+    payload = _stab_to_json(cert, emit_trace=args.emit_trace)
+    payload["elapsed_seconds"] = round(elapsed, 3)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(payload, fh, indent=1)
+    if args.json:
+        print(json.dumps(payload))
     if not args.json:
         worked = sum(1 for e in cert.entries if e.certificate is not None)
         print(f"verified: no square a_p(c) for any prime 5 <= p <= {cert.prime_cap} "
@@ -148,8 +147,8 @@ def cmd_stab_verify(args) -> int:
 
 @contextlib.contextmanager
 def _any_int_digits():
-    """Lift Python's int-to-str digit limit (3.11+) while certificates are
-    written: trace integers at X = 1e1000 run to tens of thousands of digits."""
+    """Lift Python's int-to-str digit limit (3.11+) while a command runs: a
+    cheap a_n, report or stab trace can print integers of tens of thousands of digits."""
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
         yield
@@ -309,25 +308,26 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_density)
 
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.command == "classify" and (args.c is None) == (args.range is None):
-        print("error: exactly one of --c / --range is required", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except lattice.TraceError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (BitBudgetExceeded, FactorizationBudget, PrecisionExhausted,
-            lattice.EscalationStuck) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+    with _any_int_digits():
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+        if args.command == "classify" and (args.c is None) == (args.range is None):
+            print("error: exactly one of --c / --range is required", file=sys.stderr)
+            return 2
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except lattice.TraceError as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 1
+        except (BitBudgetExceeded, FactorizationBudget, PrecisionExhausted,
+                lattice.EscalationStuck) as exc:
+            print(f"budget exhausted: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

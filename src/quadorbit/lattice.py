@@ -67,7 +67,8 @@ IDENTITY: Transform = ((1, 0), (0, 1))
 
 
 def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int],
-                    t1: tuple[int, int] = (1, 0), t2: tuple[int, int] = (0, 1)):
+                    t1: tuple[int, int] = (1, 0), t2: tuple[int, int] = (0, 1),
+                    floor: int = 0):
     """Greedy (Lagrange-Gauss) reduction of a 2D integer basis, tracking the
     unimodular map.
 
@@ -81,21 +82,30 @@ def lagrange_reduce(b1: tuple[int, int], b2: tuple[int, int],
     m^2 |b1|^2, <b1, b2> -= m |b1|^2) rather than recomputed, so a step costs
     products by the small quotient m only, a nearly reduced start costs a
     few steps, and the caller gets the two it needs for free.
+
+    With floor > 0 the steps stop early, once |r1|^2 < floor; the result is
+    then a partly reduced basis, r1 the shorter vector.
     """
     n1 = b1[0] * b1[0] + b1[1] * b1[1]
     n2 = b2[0] * b2[0] + b2[1] * b2[1]
     dot = b1[0] * b2[0] + b1[1] * b2[1]
     if n1 > n2:
         b1, b2, t1, t2, n1, n2 = b2, b1, t2, t1, n2, n1
-    while True:
+    while n1 >= floor:
         m = (2 * dot + n1) // (2 * n1)  # nearest integer of dot/n1
         b2 = (b2[0] - m * b1[0], b2[1] - m * b1[1])
         t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
         n2 += m * (m * n1 - 2 * dot)
         dot -= m * n1
         if n2 >= n1:
-            return b1, b2, t1, t2, n1, dot
+            break
         b1, b2, t1, t2, n1, n2 = b2, b1, t2, t1, n2, n1
+    return b1, b2, t1, t2, n1, dot
+
+
+# _lehmer_start's own name for the greedy loop, so that a caller replacing
+# lagrange_reduce (to count the exact reductions) leaves the cut ones alone
+_lehmer_reduce = lagrange_reduce
 
 
 # The cold start's word size, in bits.  Vectors are cut to 4 W bits and
@@ -116,41 +126,17 @@ def _bits(v: tuple[int, int]) -> int:
     return max(abs(v[0]), abs(v[1])).bit_length()
 
 
-def _cut_reduce(u, v, floor: int):
-    """Greedy steps on the cut vectors u, v until the shorter norm is below
-    floor or the pair is reduced.  Returns the rows of the shorter and the
-    longer result over (u, v), and the number of nonzero quotients."""
-    nu = u[0] * u[0] + u[1] * u[1]
-    nv = v[0] * v[0] + v[1] * v[1]
-    dot = u[0] * v[0] + u[1] * v[1]
-    p0, p1, q0, q1 = 1, 0, 0, 1
-    if nu > nv:
-        p0, p1, q0, q1, nu, nv = 0, 1, 1, 0, nv, nu
-    steps = 0
-    while nu >= floor:
-        m = (2 * dot + nu) // (2 * nu)
-        if m:
-            q0 -= m * p0
-            q1 -= m * p1
-            nv += m * (m * nu - 2 * dot)
-            dot -= m * nu
-            steps += 1
-        if nv >= nu:
-            break
-        p0, p1, q0, q1, nu, nv = q0, q1, p0, p1, nv, nu
-    return (p0, p1), (q0, q1), steps
-
-
 def _lehmer_start(b1: tuple[int, int], b2: tuple[int, int]) -> Transform:
     """A unimodular map, rows over (b1, b2), to a nearly reduced basis, found
     from leading bits (Lehmer, Amer. Math. Monthly 45, 1938, in the plane).
 
     While the vectors differ by more than LEHMER_W bits, one exact greedy
     step takes the big quotient.  Otherwise both are cut by
-    bits(short) - 4 W bits, the cut pair is reduced by _cut_reduce, and its
-    small map is applied to the full vectors and to the map.  The loop stops
-    when the small map is trivial or does not shorten the pair; any
-    unimodular map will do, since the exact reduction finishes from it.
+    bits(short) - 4 W bits, the greedy loop runs on the cut pair until its
+    shorter norm is under 2^(4 W), and its small map is applied to the full
+    vectors and to the map.  The loop stops when the small map does not
+    shorten the pair (an identity or a swap never does); any unimodular map
+    will do, since the exact reduction finishes from it.
     """
     t1, t2 = IDENTITY
     l1, l2 = _bits(b1), _bits(b2)
@@ -170,10 +156,8 @@ def _lehmer_start(b1: tuple[int, int], b2: tuple[int, int]) -> Transform:
             l2 = _bits(b2)
             continue
         s = max(l1 - 4 * LEHMER_W, 0)
-        (p0, p1), (q0, q1), steps = _cut_reduce(
-            (b1[0] >> s, b1[1] >> s), (b2[0] >> s, b2[1] >> s), floor)
-        if not steps:
-            return t1, t2
+        (p0, p1), (q0, q1) = _lehmer_reduce(
+            (b1[0] >> s, b1[1] >> s), (b2[0] >> s, b2[1] >> s), floor=floor)[2:4]
         c1 = (p0 * b1[0] + p1 * b2[0], p0 * b1[1] + p1 * b2[1])
         c2 = (q0 * b1[0] + q1 * b2[0], q0 * b1[1] + q1 * b2[1])
         k1, k2 = _bits(c1), _bits(c2)

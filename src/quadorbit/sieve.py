@@ -92,15 +92,6 @@ class ModOrbit:
                        cycle=tuple([fn(v) for v in self.cycle]))
 
 
-def orbit_mod(c: int, p: int) -> ModOrbit:
-    """Orbit of 0 under x -> x^2 + 1/c mod an odd prime p not dividing c."""
-    if p % 2 == 0 or p < 3:
-        raise ValueError("p must be an odd prime")
-    if c % p == 0:
-        raise ValueError(f"prime {p} divides c = {c}")
-    return ModOrbit.of(pow(c % p, -1, p), p)
-
-
 class NumeratorTarget:
     """The integer sequence a_n itself."""
 
@@ -316,6 +307,15 @@ class CongruenceTable:
         return sorted(self.rows)
 
 
+def _nonresidue_window(seq: ModOrbit) -> bytes:
+    """ns[n] = 1 when index n <= W of seq is a non-residue mod seq.k.  W is
+    six periods and 12 past the tail: every index class mod 6 cycles in it."""
+    W = seq.entry + 6 * seq.period + 12
+    row = _nonresidues(seq.k).__getitem__
+    cycle = bytes(map(row, seq.cycle))
+    return (bytes(map(row, seq.tail)) + cycle * (W // seq.period + 1))[:W + 1]
+
+
 def _admission_patterns(c_class: int, k: int) -> dict[str, bool]:
     """The two published admission patterns plus the divisibility closure.
 
@@ -324,13 +324,7 @@ def _admission_patterns(c_class: int, k: int) -> dict[str, bool]:
     closure:      every odd index >= 5 coprime to 3 is non-residue (the rest
                   follow from rigid divisibility through indices 2, 3, 4).
     """
-    seq = NumeratorTarget().reduce(c_class, k)
-    W = seq.entry + 6 * seq.period + 12
-    # ns[n] = 1 when index n <= W is a non-residue, built from the tail and
-    # one cycle; each pattern is a stepped slice of it
-    row = _nonresidues(k).__getitem__
-    cycle = bytes(map(row, seq.cycle))
-    ns = (bytes(map(row, seq.tail)) + cycle * (W // seq.period + 1))[:W + 1]
+    ns = _nonresidue_window(NumeratorTarget().reduce(c_class, k))
     return {
         "odd_from_5": 0 not in ns[5::2],
         "offsets_7_5": 0 not in ns[7::3] and 0 not in ns[5::3],
@@ -498,12 +492,8 @@ def verify_m_rule(k: int, residue: int, needs_m_minus_1: bool) -> bool:
     if math.gcd(m, k) != 1:
         return False
     # c = -m^2 and g2 = x + 1/m, both read mod k
-    seq = FactorTarget(FactorPoly("g2", (Fraction(1, m), Fraction(1)), m=m)).reduce(-m * m, k)
-    W = seq.entry + 6 * seq.period + 12
-
-    def exempt(i: int) -> bool:
-        if (i + 1) % 3 == 0:
-            return True
-        return needs_m_minus_1 and (i + 1) % 2 == 0
-    ns = seq.map(_nonresidues(k).__getitem__).prefix(W + 1)
-    return all(ns[i] for i in range(2, W + 1) if not exempt(i))
+    ns = _nonresidue_window(
+        FactorTarget(FactorPoly("g2", (Fraction(1, m), Fraction(1)), m=m)).reduce(-m * m, k))
+    # exempt: 3 | n + 1, and 2 | n + 1 when m - 1 is a non-square
+    return all(ns[n] for n in range(2, len(ns))
+               if (n + 1) % 3 and not (needs_m_minus_1 and n % 2))

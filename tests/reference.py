@@ -4,7 +4,9 @@ find_coprime_power_split searches every coprime split of c for the one a
 square a_n would force; lattice_attempt rebuilds one attempt of an
 escalation pass, with the values a trace does not store; from_ctx makes an
 enclosure builder of an mpmath interval expression, the reference the
-integer enclosures are tested against.
+integer enclosures are tested against; cut_reduce is the greedy loop the
+cold start once ran on its cut vectors, which lagrange_reduce with a floor
+replaced.
 """
 from __future__ import annotations
 
@@ -113,3 +115,28 @@ def from_ctx(build, guard: int = 0):
         return (to_int(mpf_shift(lo, prec), round_floor),
                 to_int(mpf_shift(hi, prec), round_ceiling))
     return integer_build
+
+
+def cut_reduce(u, v, floor: int):
+    """Greedy steps on the cut vectors u, v until the shorter norm is below
+    floor or the pair is reduced.  Returns the rows of the shorter and the
+    longer result over (u, v), and the number of nonzero quotients."""
+    nu = u[0] * u[0] + u[1] * u[1]
+    nv = v[0] * v[0] + v[1] * v[1]
+    dot = u[0] * v[0] + u[1] * v[1]
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    if nu > nv:
+        p0, p1, q0, q1, nu, nv = 0, 1, 1, 0, nv, nu
+    steps = 0
+    while nu >= floor:
+        m = (2 * dot + nu) // (2 * nu)
+        if m:
+            q0 -= m * p0
+            q1 -= m * p1
+            nv += m * (m * nu - 2 * dot)
+            dot -= m * nu
+            steps += 1
+        if nv >= nu:
+            break
+        p0, p1, q0, q1, nu, nv = q0, q1, p0, p1, nv, nu
+    return (p0, p1), (q0, q1), steps

@@ -15,7 +15,7 @@ import pytest
 
 from quadorbit import cli
 from quadorbit.classify import (CaseId, Effort, detect_case, factor_count_profile,
-                                verify_classification, verify_range)
+                                verify_classification)
 from quadorbit.curves import x_values
 from quadorbit.density import density_profile
 from quadorbit.factors import build_pattern
@@ -113,7 +113,10 @@ def test_criterion_4_desk_scale_classification():
     t0 = time.time()
     eff = Effort()
     count = 0
-    for rep in verify_range(-10 ** 4, 10 ** 4, eff):
+    for c in range(-10 ** 4, 10 ** 4 + 1):
+        if c in (0, -1):
+            continue
+        rep = verify_classification(c, eff)
         assert rep.verified, rep.c
         assert rep.profile == factor_count_profile(rep.verdict)
         count += 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quadorbit import classify, primes
 from quadorbit.classify import (PINNED_SIEVE_PRIMES, CaseId, Effort, detect_case,
                                 factor_count_profile, recheck_report, report_to_json,
-                                verify_classification, verify_range)
+                                verify_classification)
 from quadorbit.factors import build_pattern, eval_at_orbit, f_coeffs, poly_compose
 from quadorbit.orbit import critical_numerators, is_perfect_square
 from quadorbit.sieve import jacobi, match_m_rules
@@ -143,10 +143,10 @@ def test_lattice_route_for_huge_even_c():
 
 def test_lattice_route_report_does_not_depend_on_order():
     # a report is a function of c alone: classifying c after other lattice-route
-    # values, through one Effort as verify_range does, gives the report for c alone
+    # values, through one shared Effort, gives the report for c alone
     cs = (5328, 7920, 9800)
     shared = Effort(exact_bit_budget=256)
-    in_sequence = [rep for c in cs for rep in verify_range(c, c, shared)]
+    in_sequence = [verify_classification(c, shared) for c in cs]
     for c, rep in zip(cs, in_sequence):
         alone = verify_classification(c, Effort(exact_bit_budget=256))
         assert any(k["kind"] == "prime-lattice" for k in alone.tracks[0].certificates), c
@@ -157,7 +157,10 @@ def test_lattice_route_report_does_not_depend_on_order():
 
 def test_range_results_verified_and_profiles_stable():
     seen = 0
-    for rep in verify_range(-600, 600):
+    for c in range(-600, 601):
+        if c in (0, -1):
+            continue
+        rep = verify_classification(c)
         assert rep.verified, rep.c
         seen += 1
     assert seen == 1199

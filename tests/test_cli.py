@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import quadorbit
+from quadorbit import cli
 from quadorbit.cli import _parse_big, main
 from quadorbit.density import density_profile
 
@@ -236,6 +237,35 @@ def test_trace_json_past_the_int_digit_limit(capsys):
     assert max(len(e["c_bound"]) for e in payload["entries"] if "c_bound" in e) > 640
     assert hashlib.sha256((json.dumps(payload) + "\n").encode()).hexdigest() == \
         "4159be2ea7cca33057c7201c14ed4321eda647dd2c774c22a4c6d2f0177b1b5f"
+
+
+def test_outputs_past_the_int_digit_limit(capsys, monkeypatch):
+    # a_15(3) has over 20000 digits, and the report of c = -(10^1500 + 3)^2
+    # holds (m^3 - m^2 + 1)/m^4 at over 6000; each is computed in well under
+    # a second, and printing it must not depend on the interpreter's limit,
+    # which main restores on every exit
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    limit = sys.get_int_max_str_digits()
+    assert main(["seq", "--c", "3", "--n", "15"]) == 0
+    assert len(capsys.readouterr().out) > 20000
+    assert sys.get_int_max_str_digits() == limit
+    m = 10 ** 1500 + 3
+    assert main(["classify", f"--c={-m * m}"]) == 0
+    assert capsys.readouterr().out.endswith(", k = (2, 2, 2, ... 2), VERIFIED\n")
+    assert sys.get_int_max_str_digits() == limit
+    assert main(["classify", f"--c={-m * m}", "--json"]) == 0
+    assert '"case": 1' in capsys.readouterr().out
+    for argv in (["classify"], ["seq", "--c", "0", "--n", "3"]):
+        assert main(argv) == 2
+        assert sys.get_int_max_str_digits() == limit
+
+    def crash(args):
+        raise RuntimeError("crash")
+    monkeypatch.setattr(cli, "cmd_seq", crash)
+    with pytest.raises(RuntimeError):
+        main(["seq", "--c", "3", "--n", "2"])
+    assert sys.get_int_max_str_digits() == limit
 
 
 _NO_MPMATH = """

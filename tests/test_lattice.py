@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling, round_floor
 
-from quadorbit import bounds, lattice, rounding
+from quadorbit import bounds, lattice, primes, rounding, sieve
 from quadorbit.primes import primes_to
 from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                TraceError, c_exclusion_bound, check_divisor_certificate,
@@ -19,7 +19,7 @@ from quadorbit.lattice import (DivisorBoundCertificate, EscalationTrace,
                                required_divisor_bound, stab_entry_for_prime,
                                verify_no_squares_up_to)
 from quadorbit.sieve import NumeratorTarget, verify_sieve_certificate
-from reference import from_ctx, lattice_attempt
+from reference import cut_reduce, from_ctx, lattice_attempt
 
 
 # --- references: per-doubling roundings from a fresh mpmath builder each
@@ -930,6 +930,41 @@ def test_lehmer_start_is_unimodular_and_moves_no_output(basis, tx, ty, k):
     assert _greedy_steps(*_apply(start, basis)) <= 3
 
 
+_CUT_BITS = 4 * lattice.LEHMER_W + 64
+
+
+@st.composite
+def _cut_pairs(draw):
+    """Two vectors of up to 4 W + 64 bits, each coordinate of its own size."""
+    def coord():
+        bits = draw(st.integers(0, _CUT_BITS))
+        return draw(st.integers(-(1 << bits), 1 << bits))
+    return (coord(), coord()), (coord(), coord())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cut_pairs(), st.one_of(st.sampled_from((0, 1 << 4 * lattice.LEHMER_W)),
+                               st.integers(1, 1 << 2 * _CUT_BITS + 2)))
+def test_greedy_loop_with_a_floor_matches_the_cut_reference(pair, floor):
+    # lagrange_reduce with a floor is the cut loop the cold start once ran:
+    # the same rows, and the vectors and Gram entries those rows give
+    def outcome(f):
+        try:
+            return f()
+        except ZeroDivisionError:     # a zero shorter vector above the floor
+            return ZeroDivisionError
+    want = outcome(lambda: cut_reduce(*pair, floor))
+    got = outcome(lambda: lagrange_reduce(*pair, floor=floor))
+    if want is ZeroDivisionError:
+        assert got is ZeroDivisionError
+        return
+    (p, q, _), (r1, r2, t1, t2, n1, dot) = want, got
+    assert (t1, t2) == (p, q)
+    (u, v) = pair
+    assert (r1, r2) == tuple((a * u[0] + b * v[0], a * u[1] + b * v[1]) for a, b in (p, q))
+    assert n1 == r1[0] ** 2 + r1[1] ** 2 and dot == r1[0] * r2[0] + r1[1] * r2[1]
+
+
 def test_check_trace_encloses_each_constant_once(monkeypatch):
     tr = escalation_pass(7, bounds.initial_divisor_bound(7))
     delta2 = _count_calls(monkeypatch, "_delta2")
@@ -1165,6 +1200,22 @@ def test_stab_checker_rejects_a_moved_initial_bound_on_an_escalated_entry(stab_e
     moved = replace(e, initial_bound=e.initial_bound + 12345)
     with pytest.raises(TraceError):
         check_stab_certificate(replace(stab_e100, entries=(moved,) + stab_e100.entries[1:]))
+
+
+def test_stab_checker_runs_no_search(stab_e100, monkeypatch):
+    # the certificate is built first; the checker then re-derives what it
+    # relies on without reducing, enumerating, escalating, sieving or factoring
+    def searched(*args, **kwargs):
+        raise AssertionError("the checker ran a search")
+    for module, name in [(lattice, "closest_points"), (lattice, "lagrange_reduce"),
+                         (lattice, "_lehmer_reduce"), (lattice, "_lehmer_start"),
+                         (lattice, "escalation_pass"), (lattice, "_largest_nonpositive"),
+                         (lattice, "prove_divisor_bound"),
+                         (sieve, "find_sieve_certificate"),
+                         (lattice, "find_sieve_certificate"),
+                         (primes, "factorize"), (bounds, "factorize")]:
+        monkeypatch.setattr(module, name, searched)
+    check_stab_certificate(stab_e100)
 
 
 def test_stab_checker_requires_small_c_coverage():

@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 from quadorbit.factors import FactorPoly, build_pattern
 from quadorbit.orbit import critical_numerators
 from quadorbit.primes import sieve_primes
-from quadorbit.sieve import (FactorTarget, NumeratorTarget, M_RULES_NEED_M_MINUS_1,
+from quadorbit.sieve import (FactorTarget, ModOrbit, NumeratorTarget, M_RULES_NEED_M_MINUS_1,
                              M_RULES_UNCONDITIONAL, SQUARE_VALUES_COMPOSITE,
                              TermUnresolved, _admission_patterns, _nonresidues,
                              certificate_at_prime, check_term_nonsquare,
                              compare_congruence_tables, find_sieve_certificate,
                              jacobi, load_static_congruence_table,
-                             match_congruence_rows, match_m_rules, orbit_mod,
+                             match_congruence_rows, match_m_rules,
                              parse_congruence_table, format_congruence_table,
                              regenerate_congruence_table,
                              verify_m_rule, verify_row_coverage,
@@ -41,16 +41,15 @@ def test_jacobi_matches_euler_criterion():
 
 
 def test_orbit_mod_examples():
-    om = orbit_mod(4, 3)            # c = 1 mod 3 so c0 = 1: 0, 1, 2, 2, ...
+    # the orbit of 0 under x -> x^2 + 1/c mod p
+    om = ModOrbit.of(pow(4, -1, 3), 3)    # c = 1 mod 3 so c0 = 1: 0, 1, 2, 2, ...
     assert om.c0 == 1
     assert [om.value(k) for k in range(5)] == [0, 1, 2, 2, 2]
-    om5 = orbit_mod(3, 5)           # c = 3 mod 5 so c0 = 2: 0, 2, 1, 3, 1, 3...
+    om5 = ModOrbit.of(pow(3, -1, 5), 5)   # c = 3 mod 5 so c0 = 2: 0, 2, 1, 3, 1, 3...
     assert om5.c0 == 2
     assert [om5.value(k) for k in range(1, 6)] == [2, 1, 3, 1, 3]
-    om7 = orbit_mod(5, 7)           # c = 5 mod 7 so c0 = 3: 3, 5, 0 cycling
+    om7 = ModOrbit.of(pow(5, -1, 7), 7)   # c = 5 mod 7 so c0 = 3: 3, 5, 0 cycling
     assert [om7.value(k) for k in range(1, 7)] == [3, 5, 0, 3, 5, 0]
-    with pytest.raises(ValueError):
-        orbit_mod(14, 7)
 
 
 def test_named_certificates_match_recorded_values():
