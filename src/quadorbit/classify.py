@@ -4,7 +4,7 @@ Every integer c outside {0, -1} lands in exactly one of seven classes with
 a predicted profile of irreducible-factor counts k_n for the iterates.  The
 verifier assembles, per irreducible factor, a chain of certificates (sign
 arguments, exact non-square values, modular sieve certificates, congruence
-rules, size bounds, lattice certificates) proving the predicted profile.
+rules, size bounds, a cited stab certificate) proving the predicted profile.
 The case table _TRACKS is also the checker: recheck_report rebuilds each
 track by its builder from the track's own chain, re-deriving each search
 answer the chain records, field for field, without re-running any search.
@@ -25,12 +25,11 @@ from .factors import (FactorPoly, SPECIAL_S, build_pattern,
                       quartic_form_parameter)
 from .orbit import (BitBudgetExceeded, critical_numerators, is_perfect_square,
                     is_rational_square, isqrt_if_square)
-from .primes import FactorizationBudget, factorize, primes_to
+from .primes import FactorizationBudget, factorize
 from .sieve import (FactorTarget, SieveCertificate, TermCheck, TermUnresolved,
-                    _estimated_term_bits, certificate_at_prime, check_term_nonsquare,
-                    find_sieve_certificate, jacobi, load_static_congruence_table,
-                    match_congruence_rows, match_m_rules, verify_m_rule,
-                    verify_row_coverage, verify_sieve_certificate)
+                    certificate_at_prime, check_term_nonsquare, find_sieve_certificate, jacobi,
+                    load_static_congruence_table, match_congruence_rows, match_m_rules,
+                    verify_m_rule, verify_row_coverage, verify_sieve_certificate)
 
 
 class CaseId(IntEnum):
@@ -453,26 +452,16 @@ def _rederive_table_row(c: int, cert: Cert) -> Cert | None:
     return None
 
 
-def _prime_fact_cert(c: int, p: int, effort: Effort) -> Cert:
-    """Certify a_p(c) non-square: exact when small, lattice otherwise."""
-    if _estimated_term_bits(c, p) + 8 <= effort.exact_bit_budget:
-        a_p = critical_numerators(c, p, effort.exact_bit_budget * 2)[-1]
-        if is_perfect_square(a_p):
-            return {"kind": "counterexample", "index": p}
-        return {"kind": "prime-exact", "index": p}
-    cert = lattice_mod.prove_divisor_bound(p, lattice_mod.required_divisor_bound(p, c))
-    return {"kind": "prime-lattice", "index": p, "certificate": cert}
-
-
-def _rederive_prime_fact(c: int, p: int, cert: Cert) -> Cert | None:
-    if cert["kind"] == "prime-exact":
-        if is_perfect_square(critical_numerators(c, p)[-1]):
-            return None
-        return {"kind": "prime-exact", "index": p}
-    dc = cert["certificate"]
-    lattice_mod.check_divisor_certificate(dc)
-    if dc.n == p and dc.c_exclusion >= c:
-        return {"kind": "prime-lattice", "index": p, "certificate": dc}
+def _rederive_stab(c: int, m: int, cert: Cert) -> Cert | None:
+    """A stab certificate that check_stab_certificate accepts states that no
+    a_p(c') is a square for even 4 <= c' <= x_bound and prime 5 <= p <= prime_cap.
+    The bound route sees only even c >= 4 (negative and odd c return earlier),
+    so x_bound >= c and prime_cap >= m cover every prime index of c from 5 up to
+    m, the track's own iterate bound: nothing assumes that m(c) is monotone."""
+    stab = cert["certificate"]
+    lattice_mod.check_stab_certificate(stab)
+    if stab.x_bound >= c and stab.prime_cap >= m:
+        return {"kind": "stab", "certificate": stab}
     return None
 
 
@@ -517,21 +506,12 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
                 return TrackReport(name, claim, certs, "FAILED",
                                    f"a_{i}({c}) is a perfect square")
         certs.append({"kind": "small-index-nonsquare", "indices": small})
-        for p in primes_to(m_bound):
-            if p < 5:
-                continue
-            cert = _pick(chain, ("prime-exact", "prime-lattice"),
-                         lambda: _prime_fact_cert(c, p, effort),
-                         lambda k: _rederive_prime_fact(c, p, k), p)
-            if cert is None:
-                return TrackReport(name, claim, certs, "CONDITIONAL",
-                                   f"prime index {p} unresolved")
-            if cert["kind"] == "counterexample":
-                certs.append(cert)
-                return TrackReport(name, claim, certs, "FAILED",
-                                   f"a_{p}({c}) is a perfect square")
-            certs.append(cert)
-        certs.append({"kind": "rigid-divisibility", "through": "composite-indices"})
+        stab = _pick(chain, "stab", lambda: {
+            "kind": "stab", "certificate": lattice_mod.verify_no_squares_up_to(c)},
+            functools.partial(_rederive_stab, c, m_bound))
+        if stab is None:
+            return TrackReport(name, claim, certs, "CONDITIONAL", "no stab certificate covers c")
+        certs += [stab, {"kind": "rigid-divisibility", "through": "composite-indices"}]
         return TrackReport(name, claim, certs, "VERIFIED")
     return TrackReport(name, claim, certs, "CONDITIONAL",
                        "no stable-case route applied")

@@ -90,12 +90,15 @@ def cmd_classify(args) -> int:
     t0 = time.time()
     if args.range:
         lo, hi = _parse_range(args.range)
+        if hi - lo >= 10 ** 6:   # every report is held, at ~1.5 KB: 10^6 take ~1.5 GB
+            raise ValueError("--range spans more than 10^6 values")
         cs = [c for c in range(lo, hi + 1) if c not in (0, -1)]
     else:
         cs = [args.c]
     if args.jobs > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with cf.ProcessPoolExecutor(max_workers=args.jobs,
+                                    initializer=_lift_int_digit_limit) as ex:
             payload = list(ex.map(_classify_worker, cs,
                                   chunksize=max(1, len(cs) // (8 * args.jobs))))
     else:
@@ -145,20 +148,24 @@ def cmd_stab_verify(args) -> int:
     return 0
 
 
+def _lift_int_digit_limit() -> int:
+    """Lift Python's int-to-str digit limit (3.11+), returning the old one (0 for
+    none): an a_n, report or stab trace can print integers of tens of thousands
+    of digits, in main or in a pool worker, which a spawn start leaves limited."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(0)
+    return old
+
+
 @contextlib.contextmanager
 def _any_int_digits():
-    """Lift Python's int-to-str digit limit (3.11+) while a command runs: a
-    cheap a_n, report or stab trace can print integers of tens of thousands of digits."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    old = get()
-    sys.set_int_max_str_digits(0)
+    old = _lift_int_digit_limit()
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(old)
+        if old:
+            sys.set_int_max_str_digits(old)
 
 
 def _stab_to_json(cert, emit_trace: bool = False) -> dict:

@@ -248,11 +248,6 @@ class TermCheck:
     witness: int | None = None   # prime for jacobi; root for square
 
 
-def _estimated_term_bits(c: int, n: int) -> int:
-    # both target kinds scale like c^(2^(n-1)); saturate to avoid huge shifts
-    return ((1 << min(n - 1, 63)) - 1) * max(1, abs(c).bit_length())
-
-
 def check_term_nonsquare(c: int, target: Target, n: int,
                          prime_budget: int = 100,
                          bit_budget: int = DEFAULT_BIT_BUDGET) -> TermCheck:
@@ -262,7 +257,8 @@ def check_term_nonsquare(c: int, target: Target, n: int,
     a Jacobi-witness search over primes up to the budget.
     """
     val = None
-    if _estimated_term_bits(c, n) <= bit_budget:
+    # both target kinds scale like c^(2^(n-1)); saturate to avoid huge shifts
+    if ((1 << min(n - 1, 63)) - 1) * max(1, abs(c).bit_length()) <= bit_budget:
         try:
             val = target.exact(c, n, bit_budget)
         except BitBudgetExceeded:

@@ -1,12 +1,13 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadorbit import classify, primes
+from quadorbit import bounds, classify, lattice, primes, sieve
 from quadorbit.classify import (PINNED_SIEVE_PRIMES, CaseId, Effort, detect_case,
                                 factor_count_profile, recheck_report, report_to_json,
                                 verify_classification)
@@ -124,7 +125,7 @@ def test_stable_case_routes():
     assert {"neg-one-prime", "table-congruence"} & kinds(rep2)
     rep80 = verify_classification(80)     # c+1 = 81 square: bound route
     k80 = kinds(rep80)
-    assert "iterate-bound" in k80 and "prime-exact" in k80
+    assert "iterate-bound" in k80 and "stab" in k80
     rep8 = verify_classification(8)       # c+1 = 9 square: split inequality
     assert "split-inequality" in kinds(rep8)
 
@@ -132,12 +133,13 @@ def test_stable_case_routes():
 def test_lattice_route_for_huge_even_c():
     # c = (2t)^2 picked so c+1 has only 1-mod-4 prime divisors, no table row
     # matches, and both split inequalities fail: only the iterate-bound route
-    # remains, and the small exact budget forces the lattice certificates
+    # remains, and it cites a stab certificate at X = c
     c = 4 * 50106 ** 2
-    rep = verify_classification(c, Effort(exact_bit_budget=256))
+    rep = verify_classification(c)
     assert rep.verified
     kinds = {k["kind"] for t in rep.tracks for k in t.certificates}
-    assert "iterate-bound" in kinds and "prime-lattice" in kinds
+    assert "iterate-bound" in kinds and "stab" in kinds
+    assert _cert(rep, "stab")["certificate"].x_bound == c
     recheck_report(rep)
 
 
@@ -145,11 +147,11 @@ def test_lattice_route_report_does_not_depend_on_order():
     # a report is a function of c alone: classifying c after other lattice-route
     # values, through one shared Effort, gives the report for c alone
     cs = (5328, 7920, 9800)
-    shared = Effort(exact_bit_budget=256)
+    shared = Effort()
     in_sequence = [verify_classification(c, shared) for c in cs]
     for c, rep in zip(cs, in_sequence):
-        alone = verify_classification(c, Effort(exact_bit_budget=256))
-        assert any(k["kind"] == "prime-lattice" for k in alone.tracks[0].certificates), c
+        alone = verify_classification(c)
+        assert any(k["kind"] == "stab" for k in alone.tracks[0].certificates), c
         assert report_to_json(rep) == report_to_json(alone), c
         recheck_report(rep)
         recheck_report(alone)
@@ -384,14 +386,14 @@ def test_recheck_rejects_a_profile_that_is_not_the_cases():
 
 @pytest.fixture(scope="module")
 def lattice_route_report():
-    # the iterate-bound route with lattice certificates: see
+    # the iterate-bound route with a stab certificate: see
     # test_lattice_route_for_huge_even_c
-    return verify_classification(4 * 50106 ** 2, Effort(exact_bit_budget=256))
+    return verify_classification(4 * 50106 ** 2)
 
 
 def test_recheck_rejects_every_single_certificate_deletion(lattice_route_report):
     reports = [verify_classification(c) for c in (-16, -25, -64, -9, 48, 288, 2, 4, 5, 8,
-                                                  80, 1024)]
+                                                  80, 1024, 1088)]
     deletions = 0
     for rep in reports + [lattice_route_report]:
         for track in rep.tracks:
@@ -418,6 +420,43 @@ def test_recheck_accepts_every_honest_report(lattice_route_report):
         assert rep.verified, c
         recheck_report(rep)
     recheck_report(lattice_route_report)
+
+
+# --- the bound route cites one stab certificate at X = c ----------------------
+
+@pytest.mark.parametrize("tamper", [
+    # a sound certificate for a smaller bound: only the route's x_bound >= c rejects it
+    lambda stab, c: replace(stab, x_bound=c - 2),
+    lambda stab, c: replace(stab, x_bound=c * 10 ** 6),
+    lambda stab, c: replace(stab, prime_cap=stab.entries[-2].prime, entries=stab.entries[:-1]),
+], ids=["x_bound-below-c", "x_bound-far-above-c", "primes-cut"])
+def test_recheck_rejects_a_stab_certificate_that_does_not_cover_c(tamper):
+    c = 4 * 50106 ** 2
+    rep = verify_classification(c)
+    cert = _cert(rep, "stab")
+    cert["certificate"] = tamper(cert["certificate"], c)
+    with pytest.raises(AssertionError):
+        recheck_report(rep)
+
+
+def test_bound_route_recheck_runs_no_search(monkeypatch):
+    reports = [verify_classification(c) for c in (80, 1088, 5328, 7920, 4 * 50106 ** 2)]
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the recheck ran a search")
+    for module, name in [(primes, "factorize"), (classify, "factorize"), (bounds, "factorize"),
+                         (lattice, "closest_points"), (lattice, "lagrange_reduce"),
+                         (lattice, "_lehmer_reduce"), (lattice, "_lehmer_start"),
+                         (lattice, "escalation_pass"), (lattice, "_largest_nonpositive"),
+                         (lattice, "prove_divisor_bound"), (lattice, "verify_no_squares_up_to"),
+                         (sieve, "find_sieve_certificate"), (lattice, "find_sieve_certificate"),
+                         (classify, "find_sieve_certificate"),
+                         (sieve, "match_congruence_rows"), (classify, "match_congruence_rows"),
+                         (sieve, "match_m_rules"), (classify, "match_m_rules")]:
+        monkeypatch.setattr(module, name, searched)
+    for rep in reports:
+        assert rep.verified and _cert(rep, "stab")
+        recheck_report(rep)
 
 
 # --- descriptive fields: a chain's certificate must equal its re-derivation ---

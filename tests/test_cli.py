@@ -168,7 +168,7 @@ def test_golden_output_digests(capsys):
         return hashlib.sha256(out.encode()).hexdigest()
 
     assert digest(["classify", "--range=-500..500", "--json"]) == \
-        "2b97cb1defaf540bbf0bc95a671d698b8399b9f52f08ec0c8898ca1c8f8c5b44"
+        "9318e5975cac7f3330acd9ce47afbd5f4bce333cf05271a5b6660f9ac284580f"
     assert digest(["table1", "--regen"]) == \
         "0e8b938e045d9cb1c34a29d6878c72f4be84f849fcd9eb0eae797f5178ca46fe"
     assert digest(["stab-verify", "--x", "1e60", "--emit-trace", "--json"], True) == \
@@ -302,3 +302,40 @@ def test_no_runtime_dependency_on_mpmath():
     assert _python(_NO_MPMATH) == [
         "d73b2302ee23531a657d96e8494c4c03c3b089b04dc01001f67d89418f56e66f", "classified"]
     assert _python("import sys, quadorbit.cli; print('mpmath' in sys.modules)") == ["False"]
+
+
+_SPAWNED_POOL = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from quadorbit.cli import main
+m = 10 ** 1500 + 3
+raise SystemExit(main(["classify", f"--c={-m * m}", "--jobs", "2"]))
+"""
+
+
+def test_classify_pool_past_the_int_digit_limit_under_spawn():
+    # a spawned worker starts with the interpreter's digit limit, and its
+    # report of c = -(10^1500 + 3)^2 holds integers past 6000 digits
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    assert _python(_SPAWNED_POOL)[-1] == "VERIFIED"
+
+
+_WIDE_RANGE = """
+import resource, time
+# a 1 GiB address-space cap: a range built as a list dies of MemoryError
+# rather than taking the host's memory
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quadorbit.cli import main
+m = 10 ** 1500 + 3
+t0 = time.perf_counter()
+code = main(["classify", f"--range={-m * m}..0", "--jobs", "2"])
+print(code, time.perf_counter() - t0)
+"""
+
+
+def test_classify_rejects_a_range_wider_than_a_million_values(capsys):
+    code, elapsed = _python(_WIDE_RANGE)
+    assert code == "2" and float(elapsed) < 1
+    assert main(["classify", "--range=-500000..500000"]) == 2
+    assert "--range spans more than 10^6 values" in capsys.readouterr().err
