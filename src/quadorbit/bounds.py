@@ -3,19 +3,12 @@
 For c >= 4 the normalized terms a_n / c^(2^(n-1)-1) increase to c*F(c) with
 F(c) = (1 - sqrt(1 - 4/c))/2, and a square a_n forces a coprime splitting
 c = u*v whose near-unit ratio contradicts the growth once n passes a small
-threshold.  The split inequalities are exact rational tests, and the integer
-bounds are exact floors of the real values, rounded from certified integer
-enclosures (rounding).
+threshold.  The integer bounds are exact floors of the real values, rounded
+from certified integer enclosures (rounding).
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from . import rounding
-from .factors import quartic_form_parameter
-from .orbit import is_perfect_square
-from .primes import factorize
 
 
 class Tables:
@@ -60,36 +53,6 @@ def stable_iterate_bound(c: int, bits: int = 64) -> int:
                 (1 << prec) + rounding.ceil_div((t_hi + a_hi) << prec, y_lo))
 
     return rounding.Enclosure(build, bits).floor().bit_length()
-
-
-# u / v > 1.15 / c^(1/30), both sides positive, raised to the 30th power
-_SPLIT_THRESHOLD = Fraction(23, 20) ** 30
-
-
-def _split_holds(c: int, on_top) -> bool:
-    """u / v > 1.15 / c^(1/30), exactly: (u / v)^30 c > (23/20)^30, with u
-    the product of the prime powers p^e of c that on_top(p, e) picks and
-    v = c / u."""
-    u = math.prod(p ** e for p, e in factorize(c).items() if on_top(p, e))
-    return Fraction(u * u, c) ** 30 * c > _SPLIT_THRESHOLD
-
-
-def valuation_split_inequality(c: int) -> bool:
-    """Odd-valuation vs even-valuation prime products against 1.15/c^(1/30).
-
-    Also requires c not of the quartic form 4m^2(m^2-1); holds for every
-    squarefree c.
-    """
-    if c < 4:
-        raise ValueError("needs c >= 4")
-    return quartic_form_parameter(c) is None and _split_holds(c, lambda p, e: e % 2)
-
-
-def square_split_inequality(c: int) -> bool:
-    """For square c = k^2, k >= 2: primes not 1 mod 4 vs primes 1 mod 4."""
-    if c < 4 or not is_perfect_square(c):
-        raise ValueError("needs a square c >= 4")
-    return _split_holds(c, lambda p, e: p % 4 != 1)
 
 
 def initial_divisor_bound(n: int, side: Tables | None = None) -> int:

@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import lattice as lattice_mod
-from .bounds import (square_split_inequality, stable_iterate_bound,
-                     valuation_split_inequality)
+from .bounds import stable_iterate_bound
 from .factors import (FactorPoly, SPECIAL_S, build_pattern,
                       negative_square_parameter, obstruction,
                       quartic_form_parameter)
@@ -172,13 +171,6 @@ def _pick(chain: Chain, kind: str | tuple[str, ...], search: Callable[[], Cert |
                 raise AssertionError(f"certificate failed recheck: {cert}")
             return cert
     return None
-
-
-def _pick_predicate(chain: Chain, kind: str, holds: Callable[[int], bool], c: int) -> Cert | None:
-    """A certificate that is its kind alone, standing for holds(c)."""
-    def derive() -> Cert | None:
-        return {"kind": kind} if holds(c) else None
-    return _pick(chain, kind, derive, lambda cert: derive())
 
 
 def _exact_nonsquare_cert(label: str, n: int, value: Fraction) -> Cert | None:
@@ -479,23 +471,17 @@ def _stable_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
     c1_cert = _exact_nonsquare_cert("a_n", 2, Fraction(c + 1))
     if c1_cert is not None:
         neg_one = functools.partial(_rederive_neg_one_prime, c)
+        # for c = k^2 every odd prime of k^2 + 1 is 1 (mod 4): no witness
+        # exists, so the search does not factor c + 1 to find none
         rule = _pick(chain, "neg-one-prime",
-                     lambda: _divisor_witness(c + 1, "neg-one-prime", neg_one), neg_one) \
+                     lambda: None if is_perfect_square(c)
+                     else _divisor_witness(c + 1, "neg-one-prime", neg_one), neg_one) \
             or _pick(chain, "table-congruence", lambda: _table_row_cert(c),
                      lambda k: _rederive_table_row(c, k))
         if rule is not None:
             certs += [rule, c1_cert, {"kind": "rigid-divisibility", "through": "a2"}]
             return TrackReport(name, claim, certs, "VERIFIED")
     if c >= 4:
-        try:
-            split = _pick_predicate(chain, "split-inequality", valuation_split_inequality, c) \
-                or is_perfect_square(c) and _pick_predicate(
-                    chain, "square-split-inequality", square_split_inequality, c)
-        except FactorizationBudget:
-            split = None
-        if split:
-            certs.append(split)
-            return TrackReport(name, claim, certs, "VERIFIED")
         m_bound = stable_iterate_bound(c)
         certs.append({"kind": "iterate-bound", "m": m_bound})
         small = [3, 4]

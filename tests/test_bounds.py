@@ -1,14 +1,8 @@
 import math
 from fractions import Fraction
 
-import pytest
-from mpmath.ctx_iv import MPIntervalContext
-
-from quadorbit.bounds import (initial_divisor_bound, square_split_inequality,
-                              stable_iterate_bound, valuation_split_inequality)
-from quadorbit.factors import quartic_form_parameter
-from quadorbit.orbit import critical_numerators, is_perfect_square
-from quadorbit.primes import factorize
+from quadorbit.bounds import initial_divisor_bound, stable_iterate_bound
+from quadorbit.orbit import critical_numerators
 from reference import coprime_splits, find_coprime_power_split, from_ctx
 
 
@@ -158,18 +152,6 @@ def test_stable_iterate_bound_values():
     assert stable_iterate_bound(10 ** 1000) == 1662
 
 
-def test_split_inequalities():
-    # squarefree c always passes the odd/even valuation version
-    for c in (6, 10, 30, 4002):
-        assert valuation_split_inequality(c)
-    assert not valuation_split_inequality(2 ** 10)
-    assert not valuation_split_inequality(48)        # the quartic form
-    assert square_split_inequality(36)
-    assert square_split_inequality(4)
-    with pytest.raises(ValueError):
-        square_split_inequality(24)
-
-
 def test_initial_divisor_bound():
     assert initial_divisor_bound(5) == 8
     assert initial_divisor_bound(7) == 42
@@ -212,34 +194,3 @@ def test_conservative_rounding_stability():
     # certified verdicts must not flip when precision doubles
     assert stable_iterate_bound(10 ** 6, bits=128) == \
         stable_iterate_bound(10 ** 6, bits=1024)
-
-
-def _split_ratios(c):
-    """The ratios valuation_split_inequality and square_split_inequality
-    test against 1.15 / c^(1/30), None where a test takes none."""
-    fac = factorize(c)
-    odd = math.prod(p ** e for p, e in fac.items() if e % 2)
-    not_1_mod_4 = math.prod(p ** e for p, e in fac.items() if p % 4 != 1)
-    return (None if quartic_form_parameter(c) is not None else Fraction(odd * odd, c),
-            Fraction(not_1_mod_4 ** 2, c) if is_perfect_square(c) else None)
-
-
-def test_exact_split_threshold_matches_the_interval_route():
-    # ratio^30 c > (23/20)^30 against ratio > hi(1.15 / exp(log c / 30)),
-    # the one-sided interval test it replaced, at 128 and 256 bits
-    ctx = MPIntervalContext()
-    tested = 0
-    for c in range(4, 20001):
-        valuation, square = _split_ratios(c)
-        for ratio, holds in ((valuation, valuation_split_inequality),
-                             (square, square_split_inequality)):
-            if ratio is None:
-                continue
-            for bits in (128, 256):
-                ctx.prec = bits
-                hi = ctx.mpf(23) / 20 / ctx.exp(ctx.log(ctx.mpf(c)) / 30)
-                sign, man, exp, _ = hi._mpi_[1]
-                hi = Fraction(-man if sign else man) * Fraction(2) ** exp
-                assert holds(c) == (ratio > hi), c
-            tested += 1
-    assert tested > 20000

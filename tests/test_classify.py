@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -117,7 +119,7 @@ def test_verified_reports_all_cases_recheck():
 
 
 def test_stable_case_routes():
-    # negative, odd, table-congruence, split-inequality, iterate-bound
+    # negative, odd, table-congruence, iterate-bound
     kinds = lambda rep: {k["kind"] for t in rep.tracks for k in t.certificates}
     assert "negative-orbit" in kinds(verify_classification(-7))
     assert "odd-two-adic" in kinds(verify_classification(9))
@@ -126,14 +128,14 @@ def test_stable_case_routes():
     rep80 = verify_classification(80)     # c+1 = 81 square: bound route
     k80 = kinds(rep80)
     assert "iterate-bound" in k80 and "stab" in k80
-    rep8 = verify_classification(8)       # c+1 = 9 square: split inequality
-    assert "split-inequality" in kinds(rep8)
+    rep8 = verify_classification(8)       # c+1 = 9 square: bound route
+    assert "stab" in kinds(rep8)
 
 
 def test_lattice_route_for_huge_even_c():
-    # c = (2t)^2 picked so c+1 has only 1-mod-4 prime divisors, no table row
-    # matches, and both split inequalities fail: only the iterate-bound route
-    # remains, and it cites a stab certificate at X = c
+    # c = (2t)^2 picked so c+1 has only 1-mod-4 prime divisors and no table
+    # row matches: only the iterate-bound route remains, and it cites a stab
+    # certificate at X = c
     c = 4 * 50106 ** 2
     rep = verify_classification(c)
     assert rep.verified
@@ -261,10 +263,7 @@ def _cert(rep, kind):
 def test_g2_list_rule_leaves_m_plus_1_unfactored(monkeypatch):
     # m = 5 matches the list rule 5 (mod 7), so the prime rules, which need
     # the factors of m+1, are never reached
-    def no_factorize(n):
-        raise AssertionError(f"factorize({n}) called")
-
-    monkeypatch.setattr(classify, "factorize", no_factorize)
+    _no_factorize(monkeypatch)
     rep = verify_classification(-25)
     assert rep.verified
     assert _cert(rep, "m-congruence")["modulus"] == 7
@@ -440,11 +439,13 @@ def test_recheck_rejects_a_stab_certificate_that_does_not_cover_c(tamper):
 
 
 def test_bound_route_recheck_runs_no_search(monkeypatch):
-    reports = [verify_classification(c) for c in (80, 1088, 5328, 7920, 4 * 50106 ** 2)]
+    reports = [verify_classification(c) for c in (8, 24, 80, 1088, 5328, 7920,
+                                                  4 * 50106 ** 2, 3 ** 40 - 1)]
 
     def searched(*args, **kwargs):
         raise AssertionError("the recheck ran a search")
-    for module, name in [(primes, "factorize"), (classify, "factorize"), (bounds, "factorize"),
+    assert not hasattr(bounds, "factorize")
+    for module, name in [(primes, "factorize"), (classify, "factorize"),
                          (lattice, "closest_points"), (lattice, "lagrange_reduce"),
                          (lattice, "_lehmer_reduce"), (lattice, "_lehmer_start"),
                          (lattice, "escalation_pass"), (lattice, "_largest_nonpositive"),
@@ -457,6 +458,49 @@ def test_bound_route_recheck_runs_no_search(monkeypatch):
     for rep in reports:
         assert rep.verified and _cert(rep, "stab")
         recheck_report(rep)
+
+
+def _no_factorize(monkeypatch):
+    # every binding of factorize in the package, whichever module imported it
+    def factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadorbit" and hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", factorize)
+
+
+def test_classify_recheck_factors_nothing(monkeypatch):
+    # every check of a report re-derives its witnesses from the chain alone
+    reports = [verify_classification(c) for c in range(-3000, 3001) if c not in (0, -1)]
+    _no_factorize(monkeypatch)
+    for rep in reports:
+        recheck_report(rep)
+
+
+def test_stable_route_for_c_plus_1_square_factors_nothing(monkeypatch):
+    # c + 1 = (10^30 + 1)^2: no witness rule, and the stab route proves c
+    # without factoring it
+    _no_factorize(monkeypatch)
+    c = (10 ** 30 + 1) ** 2 - 1
+    rep = verify_classification(c)
+    assert rep.verified
+    assert _cert(rep, "stab")["certificate"].x_bound == c
+    recheck_report(rep)
+
+
+@pytest.mark.parametrize("c, digest", [
+    (2 ** 400, "abb50a7581d449688ce46b66f1e47c553db47b1185ea046e77ae2c8950210d7c"),
+    (4 * (10 ** 20 + 1) ** 2, "aa615476f10984b739dac00d3210f6029f13c9430bde7e251da7d8be7baaba3b"),
+], ids=["2^400", "4(10^20+1)^2"])
+def test_square_c_skips_the_neg_one_prime_search(monkeypatch, c, digest):
+    # every odd prime of k^2 + 1 is 1 (mod 4), so square c has no neg-one-prime
+    # witness and c + 1 is not factored; the digest pins the report's bytes
+    _no_factorize(monkeypatch)
+    rep = verify_classification(c)
+    assert rep.verified and _cert(rep, "table-congruence")
+    canon = json.dumps(report_to_json(rep), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == digest
+    recheck_report(rep)
 
 
 # --- descriptive fields: a chain's certificate must equal its re-derivation ---

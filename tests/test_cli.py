@@ -168,7 +168,7 @@ def test_golden_output_digests(capsys):
         return hashlib.sha256(out.encode()).hexdigest()
 
     assert digest(["classify", "--range=-500..500", "--json"]) == \
-        "9318e5975cac7f3330acd9ce47afbd5f4bce333cf05271a5b6660f9ac284580f"
+        "d6ef7d5f6f51b6568fa80c1322e48cb7f962f713ff5316e24eebc25ea4bc535e"
     assert digest(["table1", "--regen"]) == \
         "0e8b938e045d9cb1c34a29d6878c72f4be84f849fcd9eb0eae797f5178ca46fe"
     assert digest(["stab-verify", "--x", "1e60", "--emit-trace", "--json"], True) == \
