@@ -329,23 +329,44 @@ class EscalationTrace:
     b0_out: int
 
 
-def _theta_roundings(N: int, b0_8: int, bits: int, side: Tables) -> tuple[int, int]:
-    """(round(theta^2 B0^8), round(2 theta B0^8 / N)) from one new enclosure
-    of theta; the second is floor((4 theta B0^8 + N) / (2N)), and
+def _enclosures(N: int, bits: int, side: Tables) -> tuple[rounding.Enclosure, rounding.Enclosure]:
+    """Enclosures of theta at bits and of delta^2 at 2 * bits of absolute
+    precision, from the given side's tables.  d = delta^2 B0^16 scales
+    delta^2 by twice the bits of B0^8, so its enclosure starts at twice the
+    working precision, the absolute precision d would otherwise refine to."""
+    return (rounding.Enclosure(lambda prec: _theta(prec, N, side), bits),
+            rounding.Enclosure(lambda prec: _delta2(prec, N, side), 2 * bits))
+
+
+def _theta_roundings(theta: rounding.Enclosure, N: int, b0_8: int) -> tuple[int, int]:
+    """(round(theta^2 B0^8), round(2 theta B0^8 / N)) from an enclosure of
+    theta; the second is floor((4 theta B0^8 + N) / (2N)), and
     floor(y / m) = floor(floor(y) / m) for an integer m > 0."""
-    theta = rounding.Enclosure(lambda prec: _theta(prec, N, side), bits)
     return theta.nearest(b0_8, power=2), (theta.floor(4 * b0_8) + N) // (2 * N)
 
 
-def _gamma_scale(delta2: rounding.Enclosure, doublings: int, b0_4: int,
-                 b0_8: int) -> tuple[int, int]:
-    """(scale_a, x6) at gamma = 2^doublings delta^2: the lattice scale
-    round(gamma B0^4), and an x^6 coefficient that dominates (gamma B0^4)^2,
-    as soundness needs: the larger of the rounded square and a certified
-    ceiling of the square."""
-    mult = 1 << doublings
-    scale_a = delta2.nearest(mult * b0_4)
-    return scale_a, max(scale_a * scale_a, delta2.ceil(mult * mult * b0_8, power=2))
+def _gamma_scales(delta2: rounding.Enclosure, b0_4: int, b0_8: int):
+    """The function k -> (scale_a, x6) at gamma = 2^k delta^2, for
+    0 <= k <= MAX_DOUBLINGS (M), from two roundings of delta^2 in all: the
+    lattice scale round(gamma B0^4), and an x^6 coefficient that dominates
+    (gamma B0^4)^2, as soundness needs: the larger of the rounded square and
+    a certified ceiling of the square.
+
+    With y = floor(delta^2 B0^4 2^(M+1)) and z = ceil(delta^4 B0^8 2^(2M)),
+    scale_a = floor((y + 2^(M-k)) / 2^(M+1-k)) and the ceiling of the square
+    is ceil(z / 2^(2M-2k)).  Both are exact, since
+    floor((floor(Y) + m) / 2^j) = floor((Y + m) / 2^j) for integers m, j
+    (and likewise for ceilings), so every doubling gets the roundings it
+    would get from the enclosure directly.
+    """
+    M = MAX_DOUBLINGS
+    y = delta2.floor(b0_4 << (M + 1))
+    z = delta2.ceil(b0_8 << 2 * M, power=2)
+
+    def at(k: int) -> tuple[int, int]:
+        scale_a = (y + (1 << (M - k))) >> (M + 1 - k)
+        return scale_a, max(scale_a * scale_a, -(-z >> 2 * (M - k)))
+    return at
 
 
 def _adjusted_sigma(points, scale_a: int, t2: int, b0_8: int, tgt: int) -> int:
@@ -416,34 +437,48 @@ def escalation_pass(n: int, b0: int, bits: int | None = None) -> EscalationTrace
     is a cold start: closest_points takes a map from the leading bits of its
     basis (Lehmer's method) and finishes the reduction exactly.  A doubling
     changes only the first basis entry, so each later attempt starts its
-    reduction from the map that reduced the previous one: the previous
-    reduced vectors grow by about a bit, and a few greedy steps reduce them
+    reduction from the map that reduced the last one: the reduced vectors
+    grow by about a bit per doubling, and a few greedy steps reduce them
     again.  The enumeration takes full-size products only to set up its
     first row and each row it scans.  closest_points' output does not
     depend on where its reduction starts, so neither does the trace.
+
+    A doubling that a known lattice point refutes takes no attempt.  For any
+    lattice point q, sigma <= d2(q), its squared distance to the target:
+    sigma is the least shrunken term over the 4 nearest points, each
+    shrunken term is at most its own point's d2, and the nearest point's d2
+    is at most d2(q).  h(b0) falls as sigma grows, so h(b0) >= 0 with d2(q)
+    in place of sigma means the attempt fails.  Each doubling first tests
+    this on the 4 points of the last attempt, at the current scale, where q
+    = (v, u) lies at d2 = (v scale_a)^2 + (v t2 - u B0^8 - tgt)^2; one
+    that refutes it is skipped, without enumeration or sigma.  The pass
+    still returns the first attempt with h(b0) < 0, so the trace is the one
+    every doubling in turn would give.
     """
     N = (1 << (n - 1)) - 1
     if N < 15:
         raise ValueError("the escalation needs n >= 5")
     bits = bits or (8 * b0.bit_length() + 64)
-    b0_4 = b0 ** 4
+    b0_2 = b0 * b0
+    b0_4 = b0_2 * b0_2
     b0_8 = b0_4 * b0_4
-    t2, tgt = _theta_roundings(N, b0_8, bits, _PROVER)
-    # One delta^2 enclosure serves d and every doubling.  d = delta^2 B0^16
-    # scales it by twice the bits of B0^8, so the enclosure starts at twice
-    # the working precision, the absolute precision d would otherwise refine
-    # to.
-    delta2 = rounding.Enclosure(lambda prec: _delta2(prec, N, _PROVER), 2 * bits)
+    theta, delta2 = _enclosures(N, bits, _PROVER)
+    t2, tgt = _theta_roundings(theta, N, b0_8)
     d_const = delta2.ceil(b0_8 * b0_8)
-    reducer = IDENTITY
+    scales = _gamma_scales(delta2, b0_4, b0_8)
+    reducer, coeffs = IDENTITY, ()
     for doublings in range(MAX_DOUBLINGS + 1):
-        scale_a, x6 = _gamma_scale(delta2, doublings, b0_4, b0_8)
+        scale_a, x6 = scales(doublings)
         if scale_a <= 0:
             raise rounding.PrecisionExhausted("degenerate lattice scale")
+        if coeffs:
+            near = min((v * scale_a) ** 2 + (v * t2 - u * b0_8 - tgt) ** 2 for v, u in coeffs)
+            if _h_cubic(x6, near, d_const, b0_2) >= 0:
+                continue
         pts, reducer = closest_points(((scale_a, t2), (0, -b0_8)), (0, tgt), 4, reducer)
         coeffs = tuple(p.coeffs for p in pts)
         sigma = _adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
-        if _h_poly(x6, sigma, d_const)(b0) < 0:
+        if _h_cubic(x6, sigma, d_const, b0_2) < 0:
             b0_out = _largest_nonpositive(x6, sigma, d_const, b0) + 1
             if b0_out <= b0:
                 raise EscalationStuck(f"no progress from bound {b0}")
@@ -561,7 +596,26 @@ def _is_pair(p) -> bool:
     return isinstance(p, tuple) and len(p) == 2 and _ints(*p)
 
 
-def check_trace(trace: EscalationTrace) -> None:
+def _trace_bits(trace: EscalationTrace) -> int:
+    """The checker's working precision for a trace, 8 bits(B0) + 64, after
+    the checks that need no enclosure (see check_trace)."""
+    n, b0, out = trace.n, trace.b0_in, trace.b0_out
+    if not (_ints(n, b0, out) and b0 > 0):
+        raise TraceError("n and the bounds are not integers with b0_in > 0")
+    bits = 8 * b0.bit_length() + 64
+    if not 5 <= n <= bits:
+        raise TraceError("prime index out of range")
+    doublings, pts = trace.doublings, trace.points
+    if not (isinstance(doublings, int) and 0 <= doublings <= MAX_DOUBLINGS):
+        raise TraceError("gamma doublings out of range")
+    if not (isinstance(pts, tuple) and len(pts) == 4 and all(map(_is_pair, pts))
+            and len(set(pts)) == 4):
+        raise TraceError("points are not 4 distinct integer pairs")
+    return bits
+
+
+def check_trace(trace: EscalationTrace, theta: rounding.Enclosure | None = None,
+                delta2: rounding.Enclosure | None = None) -> None:
     """Re-verify one trace from its stored integers alone.
 
     A trace holds n, B0 = b0_in, the gamma doublings of its successful
@@ -581,33 +635,29 @@ def check_trace(trace: EscalationTrace) -> None:
     and starts each pass at that bound or past the target's square root, so
     B0 has at least about (n - 1) / 2 bits), the doublings must lie in
     [0, MAX_DOUBLINGS], and the points must be 4 distinct integer pairs.
-    It encloses theta once at bits and delta^2 once at 2 * bits of absolute
-    precision (d = delta^2 B0^16 scales it by twice the bits of B0^8),
-    refining only when a rounding is undecided.  Every rounding is the exact
-    half-up, ceiling or floor of the real value, whatever precision decides
-    it.  Independence rests on ln 2 and L = log(3 + 2 sqrt 2) from the
-    checker's own tables, which the producer never reads, and on the
-    checker's own roundings.  Not yet checked: that the points are the four
-    nearest to the target, so a trace that stores other lattice points can
-    overstate b0_out.  Raises TraceError on any failure.
+    Called alone, it encloses theta once at bits and delta^2 once at
+    2 * bits of absolute precision (d = delta^2 B0^16 scales it by twice the
+    bits of B0^8), refining only when a rounding is undecided.
+    check_divisor_certificate instead passes theta and delta^2 for the
+    trace's n from the checker's tables, sized once per prime from its
+    largest B0.  Every rounding is the exact half-up, ceiling or floor of
+    the real value, whatever precision decides it, so the verdict does not
+    depend on which enclosures it is given.  Independence rests on ln 2 and
+    L = log(3 + 2 sqrt 2) from the checker's own tables, which the producer
+    never reads, and on the checker's own roundings.  Not yet checked: that
+    the points are the four nearest to the target, so a trace that stores
+    other lattice points can overstate b0_out.  Raises TraceError on any
+    failure.
     """
-    n, b0, out = trace.n, trace.b0_in, trace.b0_out
-    if not (_ints(n, b0, out) and b0 > 0):
-        raise TraceError("n and the bounds are not integers with b0_in > 0")
-    bits = 8 * b0.bit_length() + 64
-    if not 5 <= n <= bits:
-        raise TraceError("prime index out of range")
-    doublings, pts = trace.doublings, trace.points
-    if not (isinstance(doublings, int) and 0 <= doublings <= MAX_DOUBLINGS):
-        raise TraceError("gamma doublings out of range")
-    if not (isinstance(pts, tuple) and len(pts) == 4 and all(map(_is_pair, pts))
-            and len(set(pts)) == 4):
-        raise TraceError("points are not 4 distinct integer pairs")
+    bits = _trace_bits(trace)
+    n, b0, out, pts = trace.n, trace.b0_in, trace.b0_out, trace.points
     N = (1 << (n - 1)) - 1
-    b0_4, b0_8 = b0 ** 4, b0 ** 8
-    t2, tgt = _theta_roundings(N, b0_8, bits, _CHECKER)
-    delta2 = rounding.Enclosure(lambda prec: _delta2(prec, N, _CHECKER), 2 * bits)
-    scale_a, x6 = _gamma_scale(delta2, doublings, b0_4, b0_8)
+    if theta is None or delta2 is None:
+        theta, delta2 = _enclosures(N, bits, _CHECKER)
+    b0_4 = b0 ** 4
+    b0_8 = b0_4 * b0_4
+    t2, tgt = _theta_roundings(theta, N, b0_8)
+    scale_a, x6 = _gamma_scales(delta2, b0_4, b0_8)(trace.doublings)
     sigma = _adjusted_sigma(pts, scale_a, t2, b0_8, tgt)
     h = _h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
     if h(b0) >= 0:
@@ -628,7 +678,16 @@ def check_divisor_certificate(cert: DivisorBoundCertificate) -> rounding.Enclosu
     trace shows that every solution with |v| >= b0_in has |v| >= b0_out, and
     |v| >= b0 >= b0_in is already proved, so |v| >= b0_out, a larger bound.
     A trace may thus start below the proved bound, as the last one of an
-    honest chain does.
+    honest chain does.  No trace may start past target_bound: a pass only
+    runs while the bound proved so far is at most the target, and the
+    shortened last pass starts below it.  So the target caps the precision
+    the traces can ask for.
+
+    The chain and every trace's cheap checks come first.  Then theta and
+    delta^2 are enclosed once for the prime, at the precision check_trace
+    would pick for the largest b0_in (delta^2 at twice it), and every trace
+    is checked against them; a smaller B0 is rounded from the same
+    enclosures, exactly.
     """
     if cert.initial_bound != initial_divisor_bound(cert.n, _CHECKER):
         raise TraceError("initial bound mismatch")
@@ -637,10 +696,16 @@ def check_divisor_certificate(cert: DivisorBoundCertificate) -> rounding.Enclosu
         if tr.n != cert.n or not (_ints(tr.b0_in, tr.b0_out)
                                   and 0 < tr.b0_in <= b0 < tr.b0_out):
             raise TraceError("broken trace chain")
-        check_trace(tr)
+        if tr.b0_in > cert.target_bound:
+            raise TraceError("trace starts past the target bound")
         b0 = tr.b0_out
     if b0 != cert.final_bound or b0 <= cert.target_bound:
         raise TraceError("final bound does not clear the target")
+    if cert.traces:
+        bits = max(map(_trace_bits, cert.traces))
+        theta, delta2 = _enclosures((1 << (cert.n - 1)) - 1, bits, _CHECKER)
+        for tr in cert.traces:
+            check_trace(tr, theta, delta2)
     xi = _xi_enclosure(cert.n, cert.final_bound, _CHECKER)
     if xi.floor(cert.final_bound ** 2) < cert.c_exclusion:
         raise TraceError("c exclusion bound overstated")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
 
-from quadorbit import lattice, rounding
+from quadorbit import lattice
 from quadorbit.orbit import DEFAULT_BIT_BUDGET, critical_numerators
 from quadorbit.primes import factorize
 
@@ -83,16 +83,16 @@ class Attempt:
 
 def lattice_attempt(n: int, b0: int, doublings: int) -> Attempt:
     """The attempt of escalation_pass(n, b0) at the given gamma doublings,
-    from lattice's own helpers: _theta_roundings, the producer's delta^2
-    enclosure, closest_points (cold) and _adjusted_sigma."""
+    from lattice's own helpers: the producer's enclosures, _theta_roundings,
+    _gamma_scales, closest_points (cold) and _adjusted_sigma.  It always
+    enumerates, where the pass skips a doubling a known point refutes."""
     N = (1 << (n - 1)) - 1
     bits = 8 * b0.bit_length() + 64
     b0_4 = b0 ** 4
     b0_8 = b0_4 * b0_4
-    t2, tgt = lattice._theta_roundings(N, b0_8, bits, lattice._PROVER)
-    delta2 = rounding.Enclosure(lambda prec: lattice._delta2(prec, N, lattice._PROVER),
-                                2 * bits)
-    scale_a, x6 = lattice._gamma_scale(delta2, doublings, b0_4, b0_8)
+    theta, delta2 = lattice._enclosures(N, bits, lattice._PROVER)
+    t2, tgt = lattice._theta_roundings(theta, N, b0_8)
+    scale_a, x6 = lattice._gamma_scales(delta2, b0_4, b0_8)(doublings)
     basis = ((scale_a, t2), (0, -b0_8))
     points = tuple(p.coeffs for p in lattice.closest_points(basis, (0, tgt), 4)[0])
     sigma = lattice._adjusted_sigma(points, scale_a, t2, b0_8, tgt)

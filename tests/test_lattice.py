@@ -740,6 +740,25 @@ def _rechained(cert, traces):
                    c_exclusion=c_exclusion_bound(cert.n, traces[-1].b0_out))
 
 
+def test_a_trace_that_starts_past_the_target_is_rejected_before_any_enclosure(monkeypatch):
+    # a valid pass from the final bound, chained on to an honest
+    # certificate: the chain rule holds, but no honest pass starts past the
+    # target, and the size of such a start would set what its check costs
+    cert, _ = _chain(5, 10 ** 30)
+    tr = escalation_pass(5, cert.final_bound)
+    check_trace(tr)
+    longer = _rechained(cert, cert.traces + (tr,))
+    calls = _count_calls(monkeypatch, "_delta2")
+    with pytest.raises(TraceError, match="past the target"):
+        check_divisor_certificate(longer)
+    assert calls == []
+    # honest certificates at 10^100 and at the stab_e300 benchmark's seed-1
+    # bound still pass
+    for x in (10 ** 100, 7900499 * 10 ** 294):
+        check_stab_certificate(verify_no_squares_up_to(x))
+    assert calls
+
+
 def test_a_last_pass_that_starts_below_the_proved_bound_is_accepted():
     cert, proved = _chain(5, 10 ** 30)
     last = cert.traces[-1]
@@ -852,12 +871,48 @@ def test_delta2_evaluations_do_not_grow_with_attempts(monkeypatch):
     b0 = bounds.initial_divisor_bound(13)
     b0 = escalation_pass(13, b0).b0_out     # this pass takes 8 attempts
     calls = _count_calls(monkeypatch, "_delta2")
-    attempts = _count_cvp(monkeypatch)
-    escalation_pass(13, b0)
-    assert len(attempts) >= 3
+    tr = escalation_pass(13, b0)
+    assert tr.doublings + 1 == 8       # doublings tested, with or without an enumeration
     # one enclosure at twice the working precision; a refinement would add a
-    # call at twice that precision, never one per attempt
+    # call at twice that precision, never one per doubling
     assert calls == [2 * (8 * b0.bit_length() + 64)]
+
+
+def _skipped_doublings(n, b0):
+    """The doublings escalation_pass(n, b0) tested without enumerating, and
+    whether each of its doublings' attempts makes h(b0) negative, from the
+    reference that always enumerates."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_cvp(mp)
+        tr = escalation_pass(n, b0)
+    refs = [lattice_attempt(n, b0, k) for k in range(tr.doublings + 1)]
+    ran = {call[0][0][0] for call in calls}           # the scales enumerated at
+    assert ran <= {ref.scale_a for ref in refs}
+    negative = [ref.h_negative_at_b0 for ref in refs]
+    # the trace's doublings are the first whose attempt succeeds, and every
+    # doubling skipped is one whose attempt fails
+    assert negative.index(True) == tr.doublings
+    skipped = [k for k, ref in enumerate(refs) if ref.scale_a not in ran]
+    assert not any(negative[k] for k in skipped)
+    return tr, skipped
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+def test_skipped_doublings_all_fail(n):
+    # three passes deep; here the cold attempt's points refute every
+    # doubling before the one that succeeds, so a pass enumerates twice at
+    # most (10 doublings skipped in all at n = 13)
+    b0 = bounds.initial_divisor_bound(n)
+    for _ in range(3):
+        tr, skipped = _skipped_doublings(n, b0)
+        assert skipped == list(range(1, tr.doublings))
+        b0 = tr.b0_out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17, 19]), st.integers(8, 1 << 48))
+def test_skipped_doublings_all_fail_from_any_start(n, b0):
+    _skipped_doublings(n, max(b0, bounds.initial_divisor_bound(n)))
 
 
 def _bits(*vectors):
@@ -888,18 +943,26 @@ def test_warm_started_attempts_reduce_from_the_last_reduced_basis(monkeypatch):
     cvp_calls = _count_cvp(monkeypatch)
     monkeypatch.setattr(lattice, "lagrange_reduce", logged_reduce)
     tr = escalation_pass(13, b0)
-    # one enumeration and one reduction per attempt
-    assert len(cvp_calls) == len(reductions) == 8 == tr.doublings + 1
+    # one enumeration and one reduction per attempt that runs: the cold one
+    # and the one that succeeds; the six doublings between them are refuted
+    # by the cold attempt's points (test_skipped_doublings_all_fail)
+    assert tr.doublings + 1 == 8
+    assert len(cvp_calls) == len(reductions) == 2
+    # each attempt's doublings, from its scale: 2^k times the cold one's
+    scales = [call[0][0][0] for call in cvp_calls]
+    ks = [round(a / scales[0]).bit_length() - 1 for a in scales]
+    assert ks == [0, tr.doublings]
     # the first attempt is cold: its reduction starts from the Lehmer map,
     # a few greedy steps from reduced, where the cold basis takes tens
     cold = cvp_calls[0][0]
     assert cvp_calls[0][3] == lattice.IDENTITY
     assert reductions[0][0] == _apply(lattice._lehmer_start(*cold), cold)
     assert _greedy_steps(*reductions[0][0]) <= 3 < 20 <= _greedy_steps(*cold)
-    # every later one starts within 2 bits of the previous reduced basis,
-    # which a cold start would not
-    for (_, _, prev_out), (_, now_in, _) in zip(reductions, reductions[1:]):
-        assert now_in <= prev_out + 2
+    # every later one starts within gap + 1 bits of the last reduced basis,
+    # gap the doublings between the two attempts, which a cold start would not
+    for (_, _, prev_out), (_, now_in, _), gap in zip(
+            reductions, reductions[1:], (b - a for a, b in zip(ks, ks[1:]))):
+        assert now_in <= prev_out + gap + 1
 
 
 @st.composite
@@ -985,9 +1048,8 @@ def test_check_trace_encloses_each_constant_once(monkeypatch):
 def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
     b0 = escalation_pass(13, bounds.initial_divisor_bound(13)).b0_out
     calls = _count_series(monkeypatch)
-    attempts = _count_cvp(monkeypatch)
-    tr = escalation_pass(13, b0)     # 8 attempts, all from the same two enclosures
-    assert len(attempts) == 8
+    tr = escalation_pass(13, b0)     # 8 doublings tested, all from the same two enclosures
+    assert tr.doublings + 1 == 8
     bits = 8 * b0.bit_length() + 64
     # theta, then delta^2, whose exp runs 2 bits(N) - 10 = 14 bits short of
     # its enclosure's 2 * bits (16 / N^2 carries the rest)
@@ -999,16 +1061,17 @@ def test_one_exp_series_per_constant_in_a_pass_and_its_check(monkeypatch):
 
 def test_stab_check_exp_cost_at_1e100(stab_e100, monkeypatch):
     # the exact number and largest precision of the checker's exp series
-    # over a 10^100 certificate: per escalated pass one theta and one
-    # delta^2, and per prime one initial bound and one xi, with no
-    # refinement.  A fresh checker table keeps the count apart from earlier
-    # tests.  The largest is delta^2's at p = 5 and 768 working bits:
+    # over a 10^100 certificate: per escalated prime one theta and one
+    # delta^2, whatever its number of passes, and per prime one initial
+    # bound and one xi, with no refinement.  A fresh checker table keeps the
+    # count apart from earlier tests.  The largest is delta^2's at p = 5,
+    # sized from its largest b0_in at 768 working bits:
     # 2 * 768 - 2 bits(15) + 10.
     _fresh_table(monkeypatch, "_CHECKER")
     calls = _count_series(monkeypatch)
     check_stab_certificate(stab_e100)
-    passes = sum(len(e.certificate.traces) for e in stab_e100.entries if e.certificate)
-    assert len(calls) == 2 * passes + 2 * len(stab_e100.entries) == 204
+    escalated = sum(1 for e in stab_e100.entries if e.certificate)
+    assert len(calls) == 2 * escalated + 2 * len(stab_e100.entries) == 148
     assert max(calls) == 1538
 
 
