@@ -1,9 +1,9 @@
 """Critical-orbit arithmetic and irreducibility certification for x^2 + 1/c."""
 
-from .orbit import (BitBudgetExceeded, CriticalNumerator, HalfSumStatus, SquareClass,
-                    critical_numerator, critical_numerators, half_sum_status,
-                    is_perfect_square, isqrt_if_square, orbit_point, padic_valuation)
-from .factors import FactorPoly, Obstruction, build_pattern, eval_at_orbit, obstruction
+from .orbit import (BitBudgetExceeded, HalfSumStatus, SquareClass, critical_numerators,
+                    half_sum_status, is_perfect_square, isqrt_if_square, orbit_point,
+                    padic_valuation)
+from .factors import FactorPoly, build_pattern, eval_at_orbit, obstruction
 from .sieve import (CongruenceTable, ModOrbit, SieveCertificate, jacobi,
                     find_sieve_certificate, regenerate_congruence_table)
 from .bounds import initial_divisor_bound, stable_iterate_bound

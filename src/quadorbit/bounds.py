@@ -13,12 +13,12 @@ from . import rounding
 
 class Tables:
     """One side's tables of ln 2 and L = log(3 + 2 sqrt 2): the producer's,
-    and the checker's, which only the checking paths read, so a checked
-    trace shares no arithmetic with its maker."""
+    and the checker's, which only the checking paths read.  Both sides run
+    the same builders and roundings; only these cached enclosures differ."""
 
     def __init__(self):
-        self.ln2 = rounding.Constant(rounding.ln2)
-        self.L = rounding.Constant(rounding.silver_log)
+        self.ln2 = rounding.Enclosure(rounding.ln2, 1).interval
+        self.L = rounding.Enclosure(rounding.silver_log, 1).interval
 
 
 _PROVER = Tables()

@@ -103,13 +103,15 @@ PINNED_SIEVE_PRIMES: dict[tuple[int, str], int] = {
 
 # primes tried for a Jacobi witness when a residual term is too big to test exactly
 RESIDUAL_PRIME_BUDGET = 100
+# bits of the largest residual term tested exactly, by the producer and its checker alike
+EXACT_BIT_BUDGET = 1 << 20
 # largest prime a sieve certificate search tries; it returns the smallest that qualifies
 SIEVE_PRIME_CAP = 1201
 
 
 @dataclass
 class Effort:
-    exact_bit_budget: int = 1 << 20
+    exact_bit_budget: int = EXACT_BIT_BUDGET
 
 
 Cert = dict[str, Any]
@@ -228,7 +230,7 @@ def _sieve_track(c: int, g: FactorPoly, first_index: int, effort: Effort | None,
             p = cert["witness"]
             tc = TermCheck(n, jacobi(target.reduce(c, p).value(n), p) == -1, "jacobi", p)
         else:
-            tc = check_term_nonsquare(c, target, n, prime_budget=0)
+            tc = check_term_nonsquare(c, target, n, 0, EXACT_BIT_BUDGET)
         return residual_cert(n, tc) if tc.nonsquare else None
 
     certs = list(head_certs)
@@ -258,14 +260,14 @@ def _negative_values_cert(c: int, g: FactorPoly, from_index: int) -> Cert:
     # (-1/m, 0), which the map preserves for c <= -4
     root = -g.coeffs[0]
     if not (g.degree == 1 and root >= 0 and c <= -4 and all(
-            obstruction(g, c, n).value < 0 for n in range(max(2, from_index), from_index + 3))):
+            obstruction(g, c, n) < 0 for n in range(max(2, from_index), from_index + 3))):
         raise AssertionError(f"{g.name} is not negative along the orbit")
     return {"kind": "negative-values", "factor": g.name, "from_index": from_index,
             "root": _frac(root)}
 
 
 def _negative_obstruction_cert(c: int, g: FactorPoly) -> Cert:
-    value = obstruction(g, c, 1).value
+    value = obstruction(g, c, 1)
     if value >= 0:
         raise AssertionError(f"the index-1 obstruction of {g.name} is not negative")
     return {"kind": "negative-obstruction", "target": g.name, "index": 1,
@@ -294,7 +296,7 @@ def _linear_track(from_index: int):
               effort: Effort | None, chain: Chain = None) -> TrackReport:
         g = factors[name]
         # (m+1)/m^2, (s^3-s+1)/m^2 or (m t+1)/m^2, non-square in these cases
-        cert = _exact_nonsquare_cert(name, 1, obstruction(g, c, 1).value)
+        cert = _exact_nonsquare_cert(name, 1, obstruction(g, c, 1))
         if cert is None:
             raise AssertionError(f"the index-1 obstruction of {name} is a square")
         return TrackReport(name, f"{name}(f^n(x)) irreducible for all n",
@@ -339,7 +341,7 @@ def _g2_track(c: int, verdict: CaseVerdict, factors: Factors, name: str,
     """
     m, g2 = verdict.m, factors[name]
     head = [_negative_obstruction_cert(c, g2)]
-    w3_cert = _exact_nonsquare_cert("g2", 2, obstruction(g2, c, 2).value)  # (m^3-m^2+1)/m^4
+    w3_cert = _exact_nonsquare_cert("g2", 2, obstruction(g2, c, 2))  # (m^3-m^2+1)/m^4
     m1_cert = _exact_nonsquare_cert("m-1", 0, Fraction(m - 1))
 
     def search() -> Cert | None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import curves, density, lattice
 from .classify import report_to_json, verify_classification
-from .orbit import (BitBudgetExceeded, critical_numerator, half_sum_status,
+from .orbit import (BitBudgetExceeded, critical_numerators, half_sum_status,
                     orbit_point)
 from .primes import FactorizationBudget
 from .rounding import PrecisionExhausted
@@ -55,9 +55,9 @@ def cmd_seq(args) -> int:
     if c in (0, -1):
         print("error: c must avoid 0 and -1", file=sys.stderr)
         return 2
-    a = critical_numerator(c, n)
+    a = critical_numerators(c, n)[-1]
     point = orbit_point(c, n)
-    out = {"c": c, "n": n, "a_n": str(a.value),
+    out = {"c": c, "n": n, "a_n": str(a),
            "orbit_numerator": str(point.numerator),
            "orbit_denominator": str(point.denominator)}
     if n >= 2:
@@ -68,7 +68,7 @@ def cmd_seq(args) -> int:
     if args.json:
         print(json.dumps(out))
     else:
-        print(f"a_{n}({c}) = {a.value}")
+        print(f"a_{n}({c}) = {a}")
         print(f"f^{n}(0) = {point.numerator}/{point.denominator}")
         if "half_sum_class" in out:
             print(f"half-sum status: {out['half_sum_class']}")

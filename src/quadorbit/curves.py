@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .factors import poly_eval
 from .orbit import isqrt_if_square
 
 # y^2 = poly(x), coefficients low -> high
@@ -35,13 +36,6 @@ _SQ_MOD_63 = frozenset((i * i) % 63 for i in range(63))
 _SQ_MOD_65 = frozenset((i * i) % 65 for i in range(65))
 
 
-def _eval(coeffs: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class IntegralPoint:
     x: int
@@ -53,7 +47,7 @@ def integral_points(curve_id: str, height: int) -> list[IntegralPoint]:
     coeffs = CURVES[curve_id]
     out = []
     for x in range(-height, height + 1):
-        v = _eval(coeffs, x)
+        v = poly_eval(coeffs, x)
         if v < 0:
             continue
         if v % 64 not in _SQ_MOD_64 or v % 63 not in _SQ_MOD_63 \

@@ -37,7 +37,8 @@ def poly_compose(outer: Coeffs, inner: Coeffs) -> Coeffs:
 
 
 def poly_eval(p: Coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+    """p(x) by Horner, p low -> high; integer p and x give an integer."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -51,8 +52,6 @@ def f_coeffs(c: int) -> Coeffs:
 class FactorPoly:
     name: str
     coeffs: Coeffs
-    m: int | None = None
-    s: int | None = None
 
     @property
     def degree(self) -> int:
@@ -60,14 +59,6 @@ class FactorPoly:
 
     def __call__(self, x: Fraction) -> Fraction:
         return poly_eval(self.coeffs, x)
-
-
-@dataclass(frozen=True)
-class Obstruction:
-    factor: FactorPoly
-    c: int
-    n: int
-    value: Fraction
 
 
 def negative_square_parameter(c: int) -> int | None:
@@ -89,14 +80,14 @@ def quartic_form_parameter(c: int) -> int | None:
     return m if m is not None and m >= 2 else None
 
 
-def _lin(name: str, root: Fraction, **kw) -> FactorPoly:
+def _lin(name: str, root: Fraction) -> FactorPoly:
     # x - root
-    return FactorPoly(name, (-root, Fraction(1)), **kw)
+    return FactorPoly(name, (-root, Fraction(1)))
 
 
-def _quad(name: str, b: Fraction, c0: Fraction, **kw) -> FactorPoly:
+def _quad(name: str, b: Fraction, c0: Fraction) -> FactorPoly:
     # x^2 + b x + c0
-    return FactorPoly(name, (c0, b, Fraction(1)), **kw)
+    return FactorPoly(name, (c0, b, Fraction(1)))
 
 
 def build_pattern(c: int) -> list[FactorPoly]:
@@ -118,29 +109,29 @@ def build_pattern(c: int) -> list[FactorPoly]:
 
 def _pattern_negative_square(c: int, m: int) -> list[FactorPoly]:
     f = f_coeffs(c)
-    g1 = _lin("g1", Fraction(1, m), m=m)
-    g2 = _lin("g2", Fraction(-1, m), m=m)
+    g1 = _lin("g1", Fraction(1, m))
+    g2 = _lin("g2", Fraction(-1, m))
     out = [g1, g2]
     _require(poly_mul(g1.coeffs, g2.coeffs) == f, "g1*g2 = f")
     if m == 4:
-        g21 = _quad("g21", Fraction(-1), Fraction(7, 16), m=m)
-        g22 = _quad("g22", Fraction(1), Fraction(7, 16), m=m)
+        g21 = _quad("g21", Fraction(-1), Fraction(7, 16))
+        g22 = _quad("g22", Fraction(1), Fraction(7, 16))
         ff = poly_compose(f, f)
         _require(poly_mul(g21.coeffs, g22.coeffs) == poly_compose(g2.coeffs, ff),
                  "g21*g22 = g2(f(f(x)))")
         out += [g21, g22]
     s = isqrt_if_square(m + 1)
     if s is not None:
-        h1 = _lin("h1", Fraction(s, m), m=m, s=s)
-        h2 = _lin("h2", Fraction(-s, m), m=m, s=s)
+        h1 = _lin("h1", Fraction(s, m))
+        h2 = _lin("h2", Fraction(-s, m))
         _require(poly_mul(h1.coeffs, h2.coeffs) == poly_compose(g1.coeffs, f),
                  "h1*h2 = g1(f(x))")
         out += [h1, h2]
         if s in SPECIAL_S:
             t = isqrt_if_square(s ** 3 - s + 1)
             assert t is not None
-            h11 = _lin("h11", Fraction(t, m), m=m, s=s)
-            h12 = _lin("h12", Fraction(-t, m), m=m, s=s)
+            h11 = _lin("h11", Fraction(t, m))
+            h12 = _lin("h12", Fraction(-t, m))
             _require(poly_mul(h11.coeffs, h12.coeffs) == poly_compose(h1.coeffs, f),
                      "h11*h12 = h1(f(x))")
             out += [h11, h12]
@@ -150,13 +141,13 @@ def _pattern_negative_square(c: int, m: int) -> list[FactorPoly]:
 def _pattern_quartic_form(c: int, m: int) -> list[FactorPoly]:
     f = f_coeffs(c)
     const = Fraction(2 * m * m - 1, 4 * m * m * (m * m - 1))
-    q1 = _quad("q1", Fraction(-1, m), const, m=m)
-    q2 = _quad("q2", Fraction(1, m), const, m=m)
+    q1 = _quad("q1", Fraction(-1, m), const)
+    q2 = _quad("q2", Fraction(1, m), const)
     _require(poly_mul(q1.coeffs, q2.coeffs) == poly_compose(f, f), "q1*q2 = f(f(x))")
     out = [q1, q2]
     if m == 2:  # c = 48, the only m where q2(f(x)) splits further
-        v1 = _quad("v1", Fraction(-1, 2), Fraction(19, 48), m=m)
-        v2 = _quad("v2", Fraction(1, 2), Fraction(19, 48), m=m)
+        v1 = _quad("v1", Fraction(-1, 2), Fraction(19, 48))
+        v2 = _quad("v2", Fraction(1, 2), Fraction(19, 48))
         _require(poly_mul(v1.coeffs, v2.coeffs) == poly_compose(q2.coeffs, f),
                  "v1*v2 = q2(f(x))")
         out += [v1, v2]
@@ -175,7 +166,7 @@ def eval_at_orbit(g: FactorPoly, c: int, n: int,
 
 
 def obstruction(g: FactorPoly, c: int, n: int,
-                bit_budget: int = DEFAULT_BIT_BUDGET) -> Obstruction:
+                bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """The value whose rational non-squareness blocks g(f^n(x)) from splitting.
 
     At n = 1 the value carries the sign (-1)^deg(g); deeper compositions use
@@ -186,4 +177,4 @@ def obstruction(g: FactorPoly, c: int, n: int,
     val = eval_at_orbit(g, c, n, bit_budget)
     if n == 1 and g.degree % 2 == 1:
         val = -val
-    return Obstruction(g, c, n, val)
+    return val

@@ -389,12 +389,6 @@ def _h_cubic(x6: int, sigma: int, d: int, t: int) -> int:
     return (x6 * t - sigma) * t * t + d
 
 
-def _h_poly(x6: int, sigma: int, d: int):
-    def h(x: int) -> int:
-        return _h_cubic(x6, sigma, d, x * x)
-    return h
-
-
 def _largest_nonpositive(x6: int, sigma: int, d: int, b0: int) -> int:
     """max { x integer > 0 : h(x) <= 0 }, assuming h(b0) < 0.
 
@@ -402,7 +396,6 @@ def _largest_nonpositive(x6: int, sigma: int, d: int, b0: int) -> int:
     integer Newton from above isolates the largest root of the cubic, then
     the answer is the integer square root, verified exactly.
     """
-    h = _h_poly(x6, sigma, d)
     t = sigma // x6 + 1
     while True:
         g = _h_cubic(x6, sigma, d, t)
@@ -417,11 +410,11 @@ def _largest_nonpositive(x6: int, sigma: int, d: int, b0: int) -> int:
     while _h_cubic(x6, sigma, d, t + 1) <= 0:
         t += 1
     x = math.isqrt(t)
-    while h(x + 1) <= 0:
+    while _h_cubic(x6, sigma, d, (x + 1) ** 2) <= 0:
         x += 1
-    while x > b0 and h(x) > 0:
+    while x > b0 and _h_cubic(x6, sigma, d, x * x) > 0:
         x -= 1
-    if h(x) > 0:
+    if _h_cubic(x6, sigma, d, x * x) > 0:
         raise TraceError("no nonpositive value at or above the incoming bound")
     return x
 
@@ -642,9 +635,10 @@ def check_trace(trace: EscalationTrace, theta: rounding.Enclosure | None = None,
     trace's n from the checker's tables, sized once per prime from its
     largest B0.  Every rounding is the exact half-up, ceiling or floor of
     the real value, whatever precision decides it, so the verdict does not
-    depend on which enclosures it is given.  Independence rests on ln 2 and
-    L = log(3 + 2 sqrt 2) from the checker's own tables, which the producer
-    never reads, and on the checker's own roundings.  Not yet checked: that
+    depend on which enclosures it is given.  The checker runs the same
+    builders and roundings as the producer; what it keeps apart is its own
+    cached ln 2 and L = log(3 + 2 sqrt 2), which the producer never reads,
+    and the integers it recomputes from the trace.  Not yet checked: that
     the points are the four nearest to the target, so a trace that stores
     other lattice points can overstate b0_out.  Raises TraceError on any
     failure.
@@ -659,12 +653,12 @@ def check_trace(trace: EscalationTrace, theta: rounding.Enclosure | None = None,
     t2, tgt = _theta_roundings(theta, N, b0_8)
     scale_a, x6 = _gamma_scales(delta2, b0_4, b0_8)(trace.doublings)
     sigma = _adjusted_sigma(pts, scale_a, t2, b0_8, tgt)
-    h = _h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
-    if h(b0) >= 0:
+    d = delta2.ceil(b0_8 * b0_8)
+    if _h_cubic(x6, sigma, d, b0 * b0) >= 0:
         raise TraceError("h(B0) is not negative")
     if out <= b0:
         raise TraceError("no progress")
-    if h(out - 1) > 0 or h(out) <= 0:
+    if _h_cubic(x6, sigma, d, (out - 1) ** 2) > 0 or _h_cubic(x6, sigma, d, out * out) <= 0:
         raise TraceError("outgoing bound is not the h-window edge")
 
 

@@ -39,13 +39,6 @@ def is_rational_square(q: Fraction) -> bool:
             and is_perfect_square(q.denominator))
 
 
-@dataclass(frozen=True)
-class CriticalNumerator:
-    c: int
-    n: int
-    value: int
-
-
 def _check_c(c: int) -> None:
     if c == 0:
         raise ValueError("c must be a nonzero integer")
@@ -66,10 +59,6 @@ def critical_numerators(c: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) ->
                 f"a_n(c={c}) exceeds {bit_budget} bits at n={len(out) + 1}")
         out.append(a)
     return out
-
-
-def critical_numerator(c: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> CriticalNumerator:
-    return CriticalNumerator(c, n, critical_numerators(c, n, bit_budget)[-1])
 
 
 def orbit_point(c: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:

@@ -11,9 +11,9 @@ Every integer rounding goes through an Enclosure, and is exact or raises
 PrecisionExhausted: when the enclosure is too wide to decide it, the
 precision is doubled and the expression rebuilt, and it raises rather than
 settle on an endpoint past MAX_BITS, or after MAX_DOUBLINGS doublings that
-each left it between two adjacent integers.  A Constant keeps one enclosure
-of a fixed real, grown by doubling, for builders that use it at many
-precisions.
+each left it between two adjacent integers.  Enclosure.interval cuts the
+enclosure itself outward to a precision, grown by the same doubling, for
+builders that use a fixed real at many precisions.
 
 The constants are ln 2 = 2 atanh(1/3) = (2/3) S(9) and
 L = log(3 + 2 sqrt 2) = 2 asinh(1) = 2 atanh(1/sqrt 2)
@@ -181,28 +181,6 @@ def atanh(lo: int, hi: int, w: int) -> tuple[int, int]:
     return s, up
 
 
-class Constant:
-    """One certified enclosure of a fixed real, grown by doubling.
-
-    Calling it with a precision returns the enclosure cut outward to it.
-    When the caller asks for more precision than is held, the builder is
-    evaluated afresh at max(asked, 2 * held) bits, so a run evaluates it
-    once per doubling of the largest precision asked for.
-    """
-
-    def __init__(self, build: Builder):
-        self._build = build
-        self._bits = 0
-        self._lo = self._hi = 0
-
-    def __call__(self, prec: int) -> tuple[int, int]:
-        if prec > self._bits:
-            self._bits = max(prec, 2 * self._bits)
-            self._lo, self._hi = self._build(self._bits)
-        s = self._bits - prec
-        return self._lo >> s, -(-self._hi >> s)
-
-
 class Enclosure:
     """One certified enclosure lo <= x 2^bits <= hi of a real x, shared by
     roundings of the scaled powers x^power * scale with exact integer scales.
@@ -218,13 +196,15 @@ class Enclosure:
 
     def __init__(self, build: Builder, bits: int):
         self._build = build
-        self._bits = bits
-        self._enclose()
+        self._enclose(bits)
 
-    def _enclose(self) -> None:
-        if self._bits > MAX_BITS:
+    def _enclose(self, bits: int) -> None:
+        # the state changes only once the new enclosure is built, so an
+        # Enclosure that raised keeps a consistent, usable enclosure
+        if bits > MAX_BITS:
             raise PrecisionExhausted(f"undecided at {MAX_BITS} bits")
-        self._lo, self._hi = self._build(self._bits)
+        self._lo, self._hi = self._build(bits)
+        self._bits = bits
 
     def _decide(self, round_shifted, scale: int, power: int) -> int:
         """Round x^power * scale, first from the one product lo^power * scale.
@@ -256,8 +236,16 @@ class Enclosure:
                     if adjacent > MAX_DOUBLINGS:
                         raise PrecisionExhausted(
                             f"undecided between {min(a, b)} and {max(a, b)} at {self._bits} bits")
-            self._bits *= 2
-            self._enclose()
+            self._enclose(2 * self._bits)
+
+    def interval(self, prec: int) -> tuple[int, int]:
+        """The enclosure cut outward to prec.  Asked for more precision than
+        it holds, it is first rebuilt at max(prec, 2 * bits), so a run builds
+        it once per doubling of the largest precision asked for."""
+        if prec > self._bits:
+            self._enclose(max(prec, 2 * self._bits))
+        s = self._bits - prec
+        return self._lo >> s, -(-self._hi >> s)
 
     def floor(self, scale: int = 1, power: int = 1) -> int:
         """Floor of x^power * scale."""

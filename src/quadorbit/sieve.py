@@ -53,8 +53,8 @@ class ModOrbit:
 
     @classmethod
     def of(cls, c0: int, k: int, x0: int = 0) -> "ModOrbit":
-        # inline integer steps, no per-step callable: this loop runs once per
-        # prime of a density profile.  The dict keeps the visiting order.
+        # inline integer steps, no per-step callable: this loop runs once or
+        # twice per reduced sequence.  The dict keeps the visiting order.
         seen: dict[int, None] = {}
         x = x0 % k
         while x not in seen:
@@ -193,7 +193,8 @@ def _certificate_from_cycle(c: int, target: Target, p: int,
     start = m
     while start > 1 and seq.value(start - 1) == seq.value(start - 1 + d):
         start -= 1
-    return SieveCertificate(p, start, _cycle_kind(d), tuple(pattern), target.describe(c))
+    values = seq.prefix(start + d)[start:]   # m - start need not be a multiple of d
+    return SieveCertificate(p, start, _cycle_kind(d), values, target.describe(c))
 
 
 def find_sieve_certificate(c: int, target: Target, p_max: int = 500,
@@ -297,7 +298,6 @@ class CongruenceTable:
     """Residue classes of c (per modulus) whose numerator sequence is
     certified eventually non-residue, assuming c + 1 is not a square."""
     rows: dict[int, tuple[int, ...]]
-    provenance: str
 
     def moduli(self) -> list[int]:
         return sorted(self.rows)
@@ -341,7 +341,7 @@ def regenerate_congruence_table(modulus_bound: int = 100) -> CongruenceTable:
             if pats["odd_from_5"] or pats["offsets_7_5"]:
                 admitted.append(r)
         rows[k] = tuple(admitted)
-    return CongruenceTable(rows, "regenerated")
+    return CongruenceTable(rows)
 
 
 def verify_row_coverage(k: int, residue: int) -> str | None:
@@ -360,10 +360,10 @@ def verify_row_coverage(k: int, residue: int) -> str | None:
 
 def load_static_congruence_table() -> CongruenceTable:
     text = resources.files("quadorbit.data").joinpath("congruence_table.txt").read_text()
-    return parse_congruence_table(text, "static")
+    return parse_congruence_table(text)
 
 
-def parse_congruence_table(text: str, provenance: str) -> CongruenceTable:
+def parse_congruence_table(text: str) -> CongruenceTable:
     rows: dict[int, tuple[int, ...]] = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -371,7 +371,7 @@ def parse_congruence_table(text: str, provenance: str) -> CongruenceTable:
             continue
         mod, rest = line.split(":", 1)
         rows[int(mod)] = tuple(sorted(int(t) for t in rest.split()))
-    return CongruenceTable(rows, provenance)
+    return CongruenceTable(rows)
 
 
 def format_congruence_table(table: CongruenceTable) -> str:
@@ -489,7 +489,7 @@ def verify_m_rule(k: int, residue: int, needs_m_minus_1: bool) -> bool:
         return False
     # c = -m^2 and g2 = x + 1/m, both read mod k
     ns = _nonresidue_window(
-        FactorTarget(FactorPoly("g2", (Fraction(1, m), Fraction(1)), m=m)).reduce(-m * m, k))
+        FactorTarget(FactorPoly("g2", (Fraction(1, m), Fraction(1)))).reduce(-m * m, k))
     # exempt: 3 | n + 1, and 2 | n + 1 when m - 1 is a non-square
     return all(ns[n] for n in range(2, len(ns))
                if (n + 1) % 3 and not (needs_m_minus_1 and n % 2))

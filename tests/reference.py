@@ -96,8 +96,8 @@ def lattice_attempt(n: int, b0: int, doublings: int) -> Attempt:
     basis = ((scale_a, t2), (0, -b0_8))
     points = tuple(p.coeffs for p in lattice.closest_points(basis, (0, tgt), 4)[0])
     sigma = lattice._adjusted_sigma(points, scale_a, t2, b0_8, tgt)
-    h = lattice._h_poly(x6, sigma, delta2.ceil(b0_8 * b0_8))
-    return Attempt(scale_a, basis, (0, tgt), points, sigma, h(b0) < 0)
+    h_b0 = lattice._h_cubic(x6, sigma, delta2.ceil(b0_8 * b0_8), b0 * b0)
+    return Attempt(scale_a, basis, (0, tgt), points, sigma, h_b0 < 0)
 
 
 _CONTEXT = MPIntervalContext()

@@ -376,6 +376,31 @@ def test_recheck_rejects_an_exact_residual_too_large_to_test():
         recheck_report(rep)
 
 
+def test_recheck_tests_an_exact_residual_under_the_producers_budget():
+    # c = -2145^2: the g2 sieve starts at 29; the producer tests indices 2-16
+    # exactly and cites Jacobi witnesses from 17 on, whose terms are past its
+    # exact budget of 2^20 bits.  Relabelled "exact", index 17 would cost the
+    # checker an evaluation of a ~1.5M-bit term (about 3 s) that the producer
+    # never ran; under the producer's budget it is refused at once.
+    rep = verify_classification(-2145 ** 2)
+    g2 = _track(rep, "g2")
+    assert next(k for k in g2.certificates if k["kind"] == "sieve")["start"] == 29
+    assert classify.Effort().exact_bit_budget == 1 << 20
+    residual = next(k for k in g2.certificates
+                    if k["kind"] == "residual" and k["index"] == 17)
+    assert residual["witness_kind"] == "jacobi"
+    residual.update(witness_kind="exact", witness=None)
+    with pytest.raises(AssertionError, match="unresolved"):
+        recheck_report(rep)
+    # the relabelled residual alone, without the honest exact ones before it
+    g2.certificates = [k for k in g2.certificates
+                       if k["kind"] != "residual" or k["index"] == 17]
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="unresolved"):
+        recheck_report(rep)
+    assert time.perf_counter() - start < 1
+
+
 def test_recheck_rejects_a_profile_that_is_not_the_cases():
     rep = verify_classification(-16)
     rep.profile = factor_count_profile(detect_case(-25))

@@ -54,23 +54,23 @@ def test_product_identities_across_parameters():
 
 def test_known_exception_value():
     g2 = {g.name: g for g in build_pattern(-16)}["g2"]
-    assert obstruction(g2, -16, 2).value == Fraction(49, 256)  # the m = 4 square
+    assert obstruction(g2, -16, 2) == Fraction(49, 256)  # the m = 4 square
 
 
 def test_obstruction_values():
     pat = {g.name: g for g in build_pattern(-16)}
-    assert obstruction(pat["g21"], -16, 1).value == Fraction(129, 256)
+    assert obstruction(pat["g21"], -16, 1) == Fraction(129, 256)
     # odd-degree factors flip sign at the first composition
     g1 = pat["g1"]
-    assert obstruction(g1, -16, 1).value == -eval_at_orbit(g1, -16, 1)
-    assert obstruction(g1, -16, 1).value == Fraction(5, 16)  # (m+1)/m^2
+    assert obstruction(g1, -16, 1) == -eval_at_orbit(g1, -16, 1)
+    assert obstruction(g1, -16, 1) == Fraction(5, 16)  # (m+1)/m^2
 
 
 def test_h11_numerator_factorizations():
     for s, factors_known in ((3, (41,)), (5, (5, 53)), (56, (2, 656783))):
         c = -((s * s - 1) ** 2)
         h11 = {g.name: g for g in build_pattern(c)}["h11"]
-        val = obstruction(h11, c, 1).value
+        val = obstruction(h11, c, 1)
         num = val.numerator
         assert num == math.prod(factors_known)
         assert not is_perfect_square(num)
@@ -124,7 +124,7 @@ def test_obstruction_criterion_against_factorization_oracle():
                     continue
                 all_nonsquare = True
                 for n in range(1, 4):
-                    v = obstruction(g, c, n).value
+                    v = obstruction(g, c, n)
                     if v >= 0 and is_perfect_square(v.numerator) \
                             and is_perfect_square(v.denominator):
                         all_nonsquare = False

@@ -150,9 +150,9 @@ class _Logged(rounding.Enclosure):
         self.log = []
         super().__init__(build, bits)
 
-    def _enclose(self):
-        self.log.append(self._bits)
-        super()._enclose()
+    def _enclose(self, bits):
+        self.log.append(bits)
+        super()._enclose(bits)
 
 
 class _TwoEndpoints(_Logged):
@@ -172,8 +172,7 @@ class _TwoEndpoints(_Logged):
                     adjacent += 1
                     if adjacent > rounding.MAX_DOUBLINGS:
                         raise rounding.PrecisionExhausted("undecided")
-            self._bits *= 2
-            self._enclose()
+            self._enclose(2 * self._bits)
 
 
 def _roundings_and_log(cls, build, bits, roundings):
@@ -259,9 +258,9 @@ _TEST = bounds.Tables()   # apart from either side's tables
 ])
 def test_interval_exp_rounds_outward(bits, arg, build):
     # mpmath's interval exp returns a point below the true value here; the
-    # integer exp, and a Constant of it, round outward
+    # integer exp, and an Enclosure's interval of it, round outward
     lo, hi = (Fraction(x, 1 << 800) for x in from_ctx(lambda ctx: ctx.exp(arg(ctx)))(800))
-    for enclosure in (build(bits), rounding.Constant(build)(bits)):
+    for enclosure in (build(bits), rounding.Enclosure(build, 1).interval(bits)):
         a, b = (Fraction(x, 1 << bits) for x in enclosure)
         assert a <= lo and hi <= b
 
@@ -815,7 +814,7 @@ def _reference_pass(n, b0, bits=None):
         basis = ((scale_a, t2), (0, -b0_8))
         coeffs = tuple(c for _, c, _ in _fraction_closest(basis, (0, tgt), 4))
         sigma = lattice._adjusted_sigma(coeffs, scale_a, t2, b0_8, tgt)
-        if lattice._h_poly(x6, sigma, d_const)(b0) < 0:
+        if lattice._h_cubic(x6, sigma, d_const, b0 * b0) < 0:
             out = lattice._largest_nonpositive(x6, sigma, d_const, b0) + 1
             return EscalationTrace(n, b0, doublings, coeffs, out)
     raise AssertionError("reference pass did not certify")
@@ -1097,7 +1096,9 @@ def _fresh_table(monkeypatch, name, build=rounding.silver_log):
     def logged(prec):
         evals.append(prec)
         return build(prec)
-    monkeypatch.setattr(getattr(lattice, name), "L", rounding.Constant(logged))
+    table = rounding.Enclosure(logged, 1).interval
+    evals.clear()   # the 1-bit enclosure the table starts from, made before any run
+    monkeypatch.setattr(getattr(lattice, name), "L", table)
     return evals
 
 
@@ -1190,9 +1191,9 @@ def test_exclusion_roundings_decide_at_their_start_precision(monkeypatch):
     calls = []
     enclose = rounding.Enclosure._enclose
 
-    def counted(self):
-        calls.append(self._bits)
-        enclose(self)
+    def counted(self, bits):
+        calls.append(bits)
+        enclose(self, bits)
 
     monkeypatch.setattr(rounding.Enclosure, "_enclose", counted)
     for bound, args in ((c_exclusion_bound, (1657, 31623)),

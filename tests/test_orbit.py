@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadorbit.orbit import (BitBudgetExceeded, SquareClass, critical_numerator,
-                             critical_numerators, half_sum_status, is_perfect_square,
-                             isqrt_if_square, orbit_point, padic_valuation)
+from quadorbit.orbit import (BitBudgetExceeded, SquareClass, critical_numerators,
+                             half_sum_status, is_perfect_square, isqrt_if_square,
+                             orbit_point, padic_valuation)
 
 
 def iterate_rational(c, n):
@@ -20,13 +20,13 @@ def test_closed_forms():
     for c in range(-100, 101):
         if c == 0:
             continue
-        assert critical_numerator(c, 2).value == c + 1
-        assert critical_numerator(c, 3).value == c ** 3 + c ** 2 + 2 * c + 1
+        assert critical_numerators(c, 2)[-1] == c + 1
+        assert critical_numerators(c, 3)[-1] == c ** 3 + c ** 2 + 2 * c + 1
 
 
 def test_base_case_and_spec_values():
-    assert critical_numerator(1, 1).value == 1
-    assert critical_numerator(2, 4).value == 417  # 17^2 + 2^7
+    assert critical_numerators(1, 1)[-1] == 1
+    assert critical_numerators(2, 4)[-1] == 417  # 17^2 + 2^7
 
 
 def test_matches_exact_rational_iteration():

@@ -6,6 +6,7 @@ and stay within a few units of it.
 """
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
@@ -38,9 +39,28 @@ def test_constants_enclose_mpmath(prec):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(1, 4000), min_size=1, max_size=6))
 def test_constant_table_cuts_outward_at_every_precision(precs):
-    table = rounding.Constant(rounding.silver_log)
+    table = rounding.Enclosure(rounding.silver_log, 1).interval
     for prec in precs:
         _check(table(prec), _scaled(lambda: mp.log(3 + 2 * mp.sqrt(2)), prec), 3)
+
+
+def test_interval_grows_by_doubling_and_stops_at_max_bits():
+    # rebuilt only when asked past what it holds, at max(asked, 2 * held)
+    builds = []
+
+    def build(prec):
+        builds.append(prec)
+        return rounding.ln2(prec)
+    table = rounding.Enclosure(build, 1).interval
+    for prec in (100, 150, 50, 200, 201, 1000):
+        table(prec)
+    assert builds == [1, 100, 200, 400, 1000]
+    with pytest.raises(rounding.PrecisionExhausted):
+        table(rounding.MAX_BITS + 1)
+    # refused before any build, and the enclosure held stays in use
+    assert builds[-1] == 1000
+    _check(table(500), _scaled(lambda: mp.log(2), 500), 3)
+    assert builds[-1] == 1000
 
 
 @st.composite

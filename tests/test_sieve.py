@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadorbit.factors import FactorPoly, build_pattern
 from quadorbit.orbit import critical_numerators
@@ -105,6 +105,17 @@ def test_numerator_certificates_small_c():
         verify_sieve_certificate(cert, c, nt)
 
 
+@pytest.mark.parametrize("max_values", [2, None])
+def test_certificate_values_are_read_from_its_start(max_values):
+    # a_n(-1974) mod 17 runs 0, 1, 16, 10 and then (6, 10) from the cycle
+    # entry 4; the start walks back one step to 3, less than a period, so the
+    # values read from it are (10, 6), not the (6, 10) read at the entry
+    nt = NumeratorTarget()
+    cert = find_sieve_certificate(-1974, nt, 500, max_values)
+    assert (cert.p, cert.start, cert.kind, cert.values) == (17, 3, "two_cycle", (10, 6))
+    verify_sieve_certificate(cert, -1974, nt)
+
+
 def test_certificate_verification_rejects_tampering():
     c = -16
     tgt = FactorTarget(_factor(c, "g21"))
@@ -190,6 +201,36 @@ def test_reductions_far_past_the_stored_window(c, k):
     g = FactorPoly("g", (Fraction(3, 7), Fraction(-2), Fraction(1)))
     if FactorTarget(g).ok_mod(c, k):
         assert FactorTarget(g).reduce(c, k).value(n) == _naive_factor_mod(g, c, k, n)
+
+
+@st.composite
+def _sieve_cases(draw):
+    """(c, target, p): a_n or a random factor at a random c, or a named factor
+    at c = -m^2, at an odd prime p."""
+    p = draw(st.sampled_from(MODULI[2:]))
+    kind = draw(st.sampled_from(["a_n", "poly", "named"]))
+    if kind == "named":
+        m = draw(st.integers(2, 400))
+        return -m * m, FactorTarget(draw(st.sampled_from(build_pattern(-m * m)))), p
+    c = draw(st.integers(-10 ** 6, 10 ** 6).filter(lambda c: c not in (0, -1)))
+    return c, NumeratorTarget() if kind == "a_n" else FactorTarget(draw(POLYS)), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sieve_cases())
+@example((-1974, NumeratorTarget(), 17))
+def test_certificates_are_in_canonical_form(case):
+    # every certificate passes its own checker, starts at the least index
+    # from which its values repeat, and lists one least period of them
+    c, target, p = case
+    cert = certificate_at_prime(c, target, p)
+    if cert is None:
+        return
+    verify_sieve_certificate(cert, c, target)
+    seq, d = target.reduce(c, p), cert.period
+    assert cert.start == 1 or seq.value(cert.start - 1) != seq.value(cert.start - 1 + d)
+    assert all(any(cert.values[i] != cert.values[i % e] for i in range(d))
+               for e in range(1, d) if d % e == 0)
 
 
 def test_residual_checks():
@@ -298,7 +339,7 @@ def test_admission_pattern_slices_match_the_per_index_reference():
 
 def test_table_round_trip():
     static = load_static_congruence_table()
-    again = parse_congruence_table(format_congruence_table(static), "x")
+    again = parse_congruence_table(format_congruence_table(static))
     assert again.rows == static.rows
 
 
